@@ -27,7 +27,7 @@ int main() {
     TrainConfig c = base;
     c.micro_batch_size = mb;
     std::vector<std::string> row = {StrFormat("%llu", static_cast<unsigned long long>(mb))};
-    for (AllocatorKind kind : PaperAllocators()) {
+    for (const std::string& kind : PaperAllocators()) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
       row.push_back(EffCell(RunWorstRank(Llama2_7B(), c, kind, opt)));

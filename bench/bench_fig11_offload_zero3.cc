@@ -24,7 +24,7 @@ int main() {
     c.opt.zero = ZeroStage::kStage3;
     c.opt.offload = true;
     std::vector<std::string> row = {StrFormat("%llu", static_cast<unsigned long long>(batch))};
-    for (AllocatorKind kind : PaperAllocators()) {
+    for (const std::string& kind : PaperAllocators()) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
       row.push_back(EffCell(RunWorstRank(Gpt2_345M(), c, kind, opt)));

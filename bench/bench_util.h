@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/table.h"
@@ -70,16 +71,17 @@ inline bool WorseOutcome(bool candidate_failed, double candidate_efficiency, boo
   return candidate_efficiency < worst_efficiency;
 }
 
-// Runs (model, config) under `kind` on every boundary rank and returns the worst outcome:
+// Runs (model, config) under `allocator` on every boundary rank and returns the worst outcome:
 // training OOMs if any rank OOMs, and the per-job memory efficiency is set by the worst GPU.
 inline ExperimentResult RunWorstRank(const ModelConfig& model, TrainConfig config,
-                                     AllocatorKind kind, const ExperimentOptions& opt) {
+                                     std::string_view allocator,
+                                     const ExperimentOptions& opt) {
   ExperimentResult worst;
   bool first = true;
   for (int rank : BoundaryRanks(config.parallel)) {
     config.rank = rank;
     WorkloadBuilder wb(model, config);
-    ExperimentResult r = RunExperiment(wb, kind, opt);
+    ExperimentResult r = RunExperiment(wb, allocator, opt);
     if (first || WorseOutcome(r.oom || r.infeasible, r.memory_efficiency,
                               worst.oom || worst.infeasible, worst.memory_efficiency)) {
       worst = r;
@@ -95,7 +97,7 @@ inline ExperimentResult RunWorstRank(const ModelConfig& model, TrainConfig confi
 // `linear` the search steps by 1 instead of doubling, landing right at the feasibility edge
 // (used by the OOM-sensitive experiments).
 inline uint64_t MaxFeasibleMicrobatch(const ModelConfig& model, TrainConfig config,
-                                      AllocatorKind probe, uint64_t capacity,
+                                      std::string_view probe, uint64_t capacity,
                                       uint64_t max_mb = 128, bool linear = false) {
   uint64_t best = 0;
   for (uint64_t mb = 1; mb <= max_mb; mb = linear ? mb + 1 : mb * 2) {
@@ -132,9 +134,8 @@ inline std::string ReservedCell(const ExperimentResult& r) {
 // The allocator line-up of Fig. 8 (our caching allocator stands in for both Torch 2.0 and 2.3;
 // the paper's two versions differ only marginally on these workloads), extended with the VMM
 // remap allocator — the in-tree upper bound on what handle-level defragmentation buys.
-inline std::vector<AllocatorKind> PaperAllocators() {
-  return {AllocatorKind::kCaching, AllocatorKind::kGMLake, AllocatorKind::kExpandable,
-          AllocatorKind::kVmm, AllocatorKind::kSTAlloc};
+inline std::vector<std::string> PaperAllocators() {
+  return {"torch-caching", "gmlake", "torch-expandable", "vmm", "stalloc"};
 }
 
 }  // namespace stalloc

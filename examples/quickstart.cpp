@@ -41,14 +41,13 @@ int main(int argc, char** argv) {
               trace.size());
 
   TextTable table({"allocator", "result", "efficiency", "reserved", "fragmentation"});
-  for (AllocatorKind kind : {AllocatorKind::kCaching, AllocatorKind::kExpandable,
-                             AllocatorKind::kGMLake, AllocatorKind::kSTAlloc}) {
+  for (const char* kind : {"torch-caching", "torch-expandable", "gmlake", "stalloc"}) {
     ExperimentResult r = RunExperiment(workload, kind);
     const char* status = r.infeasible ? "infeasible" : (r.oom ? "OOM" : "ok");
-    table.AddRow({AllocatorKindName(kind), status,
+    table.AddRow({kind, status,
                   StrFormat("%.1f%%", r.memory_efficiency * 100.0),
                   FormatBytes(r.reserved_peak), FormatBytes(r.fragmentation_bytes)});
-    if (kind == AllocatorKind::kSTAlloc && !r.oom && !r.infeasible) {
+    if (AllocatorRegistry::Global().Find(kind)->requires_plan && !r.oom && !r.infeasible) {
       std::printf("STAlloc plan: %s\n", r.plan_stats.ToString().c_str());
     }
   }

@@ -1,26 +1,18 @@
 #include "src/cluster/fleet.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/allocators/registry.h"
 #include "src/cluster/sharded_fleet.h"
 #include "src/common/check.h"
 #include "src/common/table.h"
 
 namespace stalloc {
-
-std::vector<AllocatorKind> ClusterAllocatorKinds() {
-  std::vector<AllocatorKind> kinds;
-  for (AllocatorKind kind : AllAllocatorKinds()) {
-    if (kind != AllocatorKind::kSTAlloc && kind != AllocatorKind::kSTAllocNoReuse) {
-      kinds.push_back(kind);
-    }
-  }
-  return kinds;
-}
 
 const char* JobStatusName(JobStatus status) {
   switch (status) {
@@ -42,7 +34,7 @@ std::string ClusterResult::Summary() const {
   return StrFormat(
       "policy=%s alloc=%s jobs=%llu completed=%llu rejected(up=%llu oom=%llu) starved=%llu "
       "ooms=%llu util=%.1f%% slo=%.2f wait_p50=%.0f p99=%.0f",
-      SchedulerPolicyName(policy), AllocatorKindName(allocator),
+      SchedulerPolicyName(policy), allocator.c_str(),
       static_cast<unsigned long long>(num_jobs), static_cast<unsigned long long>(completed),
       static_cast<unsigned long long>(rejected_upfront),
       static_cast<unsigned long long>(rejected_oom), static_cast<unsigned long long>(starved),
@@ -86,7 +78,10 @@ class ResultHasher {
 std::string ClusterResult::Digest() const {
   ResultHasher h;
   h.Mix(static_cast<uint64_t>(policy));
-  h.Mix(static_cast<uint64_t>(allocator));
+  // The allocator's position in registration order (the built-in order is stable, so pinned
+  // digests survive; an unregistered name mixes the registry size).
+  const std::vector<std::string> names = AllocatorRegistry::Global().Names();
+  h.Mix(static_cast<uint64_t>(std::find(names.begin(), names.end(), allocator) - names.begin()));
   h.Mix(num_jobs);
   h.Mix(admitted);
   h.Mix(completed);

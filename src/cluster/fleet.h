@@ -1,22 +1,23 @@
 // Fleet: an event-driven multi-GPU cluster simulator over the shared Trace/Allocator interfaces.
 //
 // A Fleet owns N SimDevices (heterogeneous capacities allowed), each fronted by one long-lived
-// baseline allocator of the configured AllocatorKind — the whole simulated day flows through it,
-// so fragmentation accumulates across tenants exactly as it would on a real shared GPU. A
-// Scheduler (src/cluster/scheduler.h) admits jobs from a ClusterWorkload queue; each admitted
-// job becomes one tenant gang of the unified replay engine (src/replay/replay_engine.h) — one
-// source per pipeline rank, feeding its device's shared allocator — with co-located sources
-// interleaved in time order, so co-located jobs contend for the same address space. Execution
-// is windowed and shard-parallel (src/cluster/sharded_fleet.cc): devices are partitioned into
-// shards that replay independently between scheduler boundaries, and a failed malloc parks the
-// tenant until the next boundary, where it is unwound (every rank's live blocks freed, claims
-// released) and re-admitted up to max_oom_retries times before rejection — the discipline of
-// production schedulers. Results are bit-identical across worker counts and shardings.
+// baseline allocator, built by the registry under the configured name — the whole simulated day
+// flows through it, so fragmentation accumulates across tenants exactly as it would on a real
+// shared GPU. A Scheduler (src/cluster/scheduler.h) admits jobs from a ClusterWorkload queue; each
+// admitted job becomes one tenant gang of the unified replay engine (src/replay/replay_engine.h) —
+// one source per pipeline rank, feeding its device's shared allocator — with co-located sources
+// interleaved in time order, so co-located jobs contend for the same address space. Execution is
+// windowed and shard-parallel (src/cluster/sharded_fleet.cc): devices are partitioned into shards
+// that replay independently between scheduler boundaries, and a failed malloc parks the tenant
+// until the next boundary, where it is unwound (every rank's live blocks freed, claims released)
+// and re-admitted up to max_oom_retries times before rejection — the discipline of production
+// schedulers. Results are bit-identical across worker counts and shardings.
 //
 // STAlloc itself cannot be the *device* allocator here: its static plan is synthesized per job
 // trace, not per device, and a shared pool across unrelated tenants has no plan to follow.
 // STAlloc instead enters this layer through the plan-aware scheduler, which admits on the
-// planner's predicted per-rank reservation. Use ClusterAllocatorKinds() for the valid kinds.
+// planner's predicted per-rank reservation. The valid kinds are
+// AllocatorRegistry::Global().Names(/*include_plan_kinds=*/false).
 
 #ifndef SRC_CLUSTER_FLEET_H_
 #define SRC_CLUSTER_FLEET_H_
@@ -34,7 +35,7 @@ namespace stalloc {
 
 struct FleetConfig {
   std::vector<uint64_t> device_capacities;  // one SimDevice per entry
-  AllocatorKind allocator = AllocatorKind::kCaching;  // must be in ClusterAllocatorKinds()
+  std::string allocator = "torch-caching";  // registry name; must not require a plan
   SchedulerPolicy policy = SchedulerPolicy::kFirstFit;
   int max_oom_retries = 1;        // requeues after a runtime OOM before rejecting
   uint64_t profile_seed = 1001;   // plan-aware profiling seed (differs from job run seeds)
@@ -51,10 +52,6 @@ struct FleetConfig {
   // Mainly for the determinism stress tests.
   std::vector<int> shard_assignment;
 };
-
-// Allocator kinds that can front a shared fleet device (every baseline kind; the STAlloc kinds
-// need a per-job offline plan and are excluded — see the header comment).
-std::vector<AllocatorKind> ClusterAllocatorKinds();
 
 enum class JobStatus : uint8_t {
   kQueued,           // still waiting when the simulation drained (should not normally happen)
@@ -98,7 +95,7 @@ struct DeviceMetrics {
 
 struct ClusterResult {
   SchedulerPolicy policy = SchedulerPolicy::kFirstFit;
-  AllocatorKind allocator = AllocatorKind::kCaching;
+  std::string allocator = "torch-caching";
   uint64_t num_jobs = 0;
   uint64_t admitted = 0;          // jobs admitted at least once
   uint64_t completed = 0;

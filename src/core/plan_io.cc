@@ -1,12 +1,14 @@
 #include "src/core/plan_io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/common/check.h"
 
 namespace stalloc {
 
@@ -25,6 +27,15 @@ std::vector<std::string> Split(const std::string& line) {
   }
   fields.push_back(cur);
   return fields;
+}
+
+// Parses the whole of `field` as a decimal integer of T's range; false on anything else
+// (empty, trailing bytes, overflow).
+template <typename T>
+bool ParseField(const std::string& field, T* value) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *value);
+  return !field.empty() && ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -65,69 +76,99 @@ bool WritePlanCsvFile(const StaticPlan& plan, const DynamicReusableSpace& space,
   return static_cast<bool>(os);
 }
 
-LoadedPlan ReadPlanCsv(std::istream& is) {
-  LoadedPlan out;
+bool ReadPlanCsv(std::istream& is, LoadedPlan* out, std::string* error) {
+  *out = LoadedPlan{};
   std::string line;
+  size_t line_no = 0;
+  auto fail = [&](const std::string& message) {
+    if (error != nullptr) {
+      *error = "plan CSV line " + std::to_string(line_no) + ": " + message;
+    }
+    return false;
+  };
   bool header_seen = false;
   while (std::getline(is, line)) {
+    ++line_no;
     if (line.empty()) {
       continue;
     }
     if (line[0] == '#') {
-      auto fields = Split(line.substr(2));
-      if (fields.empty()) {
-        continue;
-      }
+      auto fields = Split(line.substr(std::min<size_t>(2, line.size())));
+      bool ok = true;
       if (fields[0] == "pool" && fields.size() >= 3) {
-        out.plan.pool_size = std::stoull(fields[1]);
-        out.plan.lower_bound = std::stoull(fields[2]);
+        ok = ParseField(fields[1], &out->plan.pool_size) &&
+             ParseField(fields[2], &out->plan.lower_bound);
       } else if (fields[0] == "region" && fields.size() >= 3) {
-        const LayerId ls = std::stoi(fields[1]);
-        const LayerId le = std::stoi(fields[2]);
+        LayerId ls = 0;
+        LayerId le = 0;
+        ok = ParseField(fields[1], &ls) && ParseField(fields[2], &le);
         IntervalSet set;
-        for (size_t i = 3; i + 1 < fields.size(); i += 2) {
-          set.Insert(std::stoull(fields[i]), std::stoull(fields[i + 1]));
+        for (size_t i = 3; ok && i + 1 < fields.size(); i += 2) {
+          uint64_t lo = 0;
+          uint64_t hi = 0;
+          ok = ParseField(fields[i], &lo) && ParseField(fields[i + 1], &hi);
+          if (ok) {
+            set.Insert(lo, hi);
+          }
         }
-        out.space.regions.emplace(std::make_pair(ls, le), std::move(set));
+        out->space.regions.emplace(std::make_pair(ls, le), std::move(set));
       } else if (fields[0] == "expected_le" && fields.size() >= 2) {
-        const LayerId ls = std::stoi(fields[1]);
-        auto& les = out.space.expected_le[ls];
-        for (size_t i = 2; i < fields.size(); ++i) {
-          les.push_back(std::stoi(fields[i]));
+        LayerId ls = 0;
+        ok = ParseField(fields[1], &ls);
+        auto& les = out->space.expected_le[ls];
+        for (size_t i = 2; ok && i < fields.size(); ++i) {
+          les.emplace_back();
+          ok = ParseField(fields[i], &les.back());
         }
+      }
+      if (!ok) {
+        return fail("non-numeric field in comment row: " + line);
       }
       continue;
     }
     if (!header_seen) {
       header_seen = true;
-      STALLOC_CHECK(line.rfind("event_id,", 0) == 0, << "unexpected plan CSV header: " << line);
+      if (line.rfind("event_id,", 0) != 0) {
+        return fail("unexpected header: " + line);
+      }
       continue;
     }
     auto fields = Split(line);
-    STALLOC_CHECK_GE(fields.size(), 12u, << "short plan CSV row: " << line);
+    if (fields.size() < 12) {
+      return fail("short row (" + std::to_string(fields.size()) + " of 12 fields): " + line);
+    }
     PlanDecision d;
-    d.event.id = std::stoull(fields[0]);
-    d.addr = std::stoull(fields[1]);
-    d.padded_size = std::stoull(fields[2]);
-    d.event.size = std::stoull(fields[3]);
-    d.event.ts = std::stoull(fields[4]);
-    d.event.te = std::stoull(fields[5]);
-    d.event.ps = std::stoi(fields[6]);
-    d.event.pe = std::stoi(fields[7]);
-    d.event.dyn = std::stoi(fields[8]) != 0;
-    d.event.ls = std::stoi(fields[9]);
-    d.event.le = std::stoi(fields[10]);
-    d.event.stream = static_cast<StreamId>(std::stoi(fields[11]));
-    out.plan.decisions.push_back(d);
+    int dyn = 0;
+    if (!ParseField(fields[0], &d.event.id) || !ParseField(fields[1], &d.addr) ||
+        !ParseField(fields[2], &d.padded_size) || !ParseField(fields[3], &d.event.size) ||
+        !ParseField(fields[4], &d.event.ts) || !ParseField(fields[5], &d.event.te) ||
+        !ParseField(fields[6], &d.event.ps) || !ParseField(fields[7], &d.event.pe) ||
+        !ParseField(fields[8], &dyn) || !ParseField(fields[9], &d.event.ls) ||
+        !ParseField(fields[10], &d.event.le) || !ParseField(fields[11], &d.event.stream)) {
+      return fail("non-numeric or out-of-range field: " + line);
+    }
+    d.event.dyn = dyn != 0;
+    out->plan.decisions.push_back(d);
   }
-  out.plan.Validate();
-  return out;
+  std::string invalid;
+  if (!out->plan.Check(&invalid)) {
+    if (error != nullptr) {
+      *error = "invalid static plan: " + invalid;
+    }
+    return false;
+  }
+  return true;
 }
 
-LoadedPlan ReadPlanCsvFile(const std::string& path) {
+bool ReadPlanCsvFile(const std::string& path, LoadedPlan* out, std::string* error) {
   std::ifstream is(path);
-  STALLOC_CHECK(static_cast<bool>(is), << "cannot open plan file " << path);
-  return ReadPlanCsv(is);
+  if (!is) {
+    if (error != nullptr) {
+      *error = "cannot open plan file " + path;
+    }
+    return false;
+  }
+  return ReadPlanCsv(is, out, error);
 }
 
 }  // namespace stalloc

@@ -22,9 +22,11 @@ struct LoadedPlan {
   DynamicReusableSpace space;
 };
 
-// Parses a plan produced by WritePlanCsv. Aborts on malformed input.
-LoadedPlan ReadPlanCsv(std::istream& is);
-LoadedPlan ReadPlanCsvFile(const std::string& path);
+// Parses a plan produced by WritePlanCsv into *out. Returns false with a message in *error
+// (when non-null) on malformed input — a bad header, a short row, a non-numeric field, an
+// unreadable file — or on a plan that fails StaticPlan::Check; *out is unspecified then.
+bool ReadPlanCsv(std::istream& is, LoadedPlan* out, std::string* error);
+bool ReadPlanCsvFile(const std::string& path, LoadedPlan* out, std::string* error);
 
 }  // namespace stalloc
 

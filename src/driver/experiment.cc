@@ -2,8 +2,10 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "src/allocators/native_allocator.h"
 #include "src/common/check.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
@@ -24,15 +26,15 @@ std::string ExperimentResult::Summary() const {
                    static_cast<unsigned long long>(device_release_calls));
 }
 
-std::unique_ptr<Allocator> MakeBaselineAllocator(AllocatorKind kind, SimDevice* device,
-                                                 const ExperimentOptions& options) {
-  // Thin compat shim: construction lives in the registry (nullptr for the STAlloc kinds, which
-  // need the offline profile+plan pipeline, and for the kCount sentinel).
-  return AllocatorRegistry::Global().Create(AllocatorKindName(kind), device, options);
+STAllocConfig PlanKindConfig(std::string_view allocator) {
+  STAllocConfig config;
+  config.enable_dynamic_reuse = allocator != "stalloc-noreuse";
+  return config;
 }
 
 std::unique_ptr<STAllocAllocator> MakeSTAllocFromProfile(const ProfileResult& profile,
-                                                         AllocatorKind kind, SimDevice* device,
+                                                         std::string_view allocator,
+                                                         SimDevice* device,
                                                          ExperimentResult* result) {
   result->profile_wall_ms = profile.wall_ms;
   if (!profile.feasible) {
@@ -42,10 +44,9 @@ std::unique_ptr<STAllocAllocator> MakeSTAllocFromProfile(const ProfileResult& pr
   SynthesisResult synthesis = SynthesizePlan(profile.trace);
   result->plan_stats = synthesis.stats;
 
-  STAllocConfig config;
-  config.enable_dynamic_reuse = kind == AllocatorKind::kSTAlloc;
-  auto alloc = std::make_unique<STAllocAllocator>(
-      device, std::move(synthesis.plan), std::move(synthesis.dyn_space), config);
+  auto alloc = std::make_unique<STAllocAllocator>(device, std::move(synthesis.plan),
+                                                  std::move(synthesis.dyn_space),
+                                                  PlanKindConfig(allocator));
   if (!alloc->Init()) {
     result->oom = true;
     return nullptr;
@@ -70,22 +71,33 @@ void FinishExperimentResult(const ReplayResult& replay, const Allocator& active,
   if (stalloc_alloc != nullptr) {
     result->breakdown = stalloc_alloc->breakdown();
   }
-  if (result->oom && result->kind == AllocatorKind::kNative) {
+  // The native allocator holds exactly the live bytes, so its OOM means the demand itself
+  // exceeds capacity.
+  if (result->oom && dynamic_cast<const NativeAllocator*>(&active) != nullptr) {
     result->infeasible = true;
   }
 }
 
 namespace {
 
+// The registry entry of `allocator`; an unknown name aborts.
+const AllocatorRegistry::Entry& EntryOrDie(std::string_view allocator) {
+  const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(allocator);
+  STALLOC_CHECK(entry != nullptr, << "unknown allocator '" << allocator << "'");
+  return *entry;
+}
+
 ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
-                                    AllocatorKind kind, const ExperimentOptions& options) {
+                                    std::string_view allocator,
+                                    const ExperimentOptions& options) {
+  const AllocatorRegistry::Entry& entry = EntryOrDie(allocator);
   ExperimentResult result;
-  result.kind = kind;
+  result.allocator = entry.name;
   SimDevice device(options.capacity_bytes);
 
   std::unique_ptr<Allocator> alloc;
   std::unique_ptr<STAllocAllocator> stalloc_alloc;
-  if (kind == AllocatorKind::kSTAlloc || kind == AllocatorKind::kSTAllocNoReuse) {
+  if (entry.requires_plan) {
     // The trace is its own profile. Lifespan classification (and therefore the whole plan)
     // keys on phase structure; a phaseless op stream cannot be planned.
     Trace materialized = view != nullptr ? view->Materialize() : *trace;
@@ -94,16 +106,16 @@ ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
       return result;
     }
     ProfileResult profile = ProfileTrace(std::move(materialized), options.capacity_bytes);
-    stalloc_alloc = MakeSTAllocFromProfile(profile, kind, &device, &result);
+    stalloc_alloc = MakeSTAllocFromProfile(profile, allocator, &device, &result);
     if (stalloc_alloc == nullptr) {
       return result;
     }
   } else {
-    alloc = MakeBaselineAllocator(kind, &device, options);
+    alloc = entry.factory(&device, options);
   }
 
   Allocator* active = stalloc_alloc ? stalloc_alloc.get() : alloc.get();
-  STALLOC_CHECK(active != nullptr, << "no allocator for kind " << AllocatorKindName(kind));
+  STALLOC_CHECK(active != nullptr, << "allocator '" << allocator << "' built nothing");
   ReplayResult replay =
       view != nullptr ? ReplayTrace(*view, active) : ReplayTrace(*trace, active);
   FinishExperimentResult(replay, *active, device, stalloc_alloc.get(), &result);
@@ -112,20 +124,21 @@ ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
 
 }  // namespace
 
-ExperimentResult RunTraceReplay(const Trace& trace, AllocatorKind kind,
+ExperimentResult RunTraceReplay(const Trace& trace, std::string_view allocator,
                                 const ExperimentOptions& options) {
-  return RunTraceReplayImpl(&trace, nullptr, kind, options);
+  return RunTraceReplayImpl(&trace, nullptr, allocator, options);
 }
 
-ExperimentResult RunTraceReplay(const TraceView& view, AllocatorKind kind,
+ExperimentResult RunTraceReplay(const TraceView& view, std::string_view allocator,
                                 const ExperimentOptions& options) {
-  return RunTraceReplayImpl(nullptr, &view, kind, options);
+  return RunTraceReplayImpl(nullptr, &view, allocator, options);
 }
 
-ExperimentResult RunExperiment(const WorkloadBuilder& workload, AllocatorKind kind,
+ExperimentResult RunExperiment(const WorkloadBuilder& workload, std::string_view allocator,
                                const ExperimentOptions& options) {
+  const AllocatorRegistry::Entry& entry = EntryOrDie(allocator);
   ExperimentResult result;
-  result.kind = kind;
+  result.allocator = entry.name;
 
   const Trace run_trace = workload.Build(options.run_seed);
   SimDevice device(options.capacity_bytes);
@@ -133,20 +146,20 @@ ExperimentResult RunExperiment(const WorkloadBuilder& workload, AllocatorKind ki
   std::unique_ptr<Allocator> alloc;
   std::unique_ptr<STAllocAllocator> stalloc_alloc;
 
-  if (kind == AllocatorKind::kSTAlloc || kind == AllocatorKind::kSTAllocNoReuse) {
+  if (entry.requires_plan) {
     // Offline stage: profile (different seed) + plan synthesis.
     ProfileResult profile =
         ProfileWorkload(workload, options.capacity_bytes, options.profile_seed);
-    stalloc_alloc = MakeSTAllocFromProfile(profile, kind, &device, &result);
+    stalloc_alloc = MakeSTAllocFromProfile(profile, allocator, &device, &result);
     if (stalloc_alloc == nullptr) {
       return result;
     }
   } else {
-    alloc = MakeBaselineAllocator(kind, &device, options);
+    alloc = entry.factory(&device, options);
   }
 
   Allocator* active = stalloc_alloc ? stalloc_alloc.get() : alloc.get();
-  STALLOC_CHECK(active != nullptr, << "no allocator for kind " << AllocatorKindName(kind));
+  STALLOC_CHECK(active != nullptr, << "allocator '" << allocator << "' built nothing");
   ReplayResult replay = ReplayTrace(run_trace, active);
   FinishExperimentResult(replay, *active, device, stalloc_alloc.get(), &result);
   return result;

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/common/check.h"
@@ -23,9 +24,12 @@ std::string ServeExperimentResult::Summary() const {
 }
 
 ServeExperimentResult RunServeExperiment(const ModelConfig& model, const ServeScenario& scenario,
-                                         AllocatorKind kind, const ServeOptions& options) {
+                                         std::string_view allocator,
+                                         const ServeOptions& options) {
+  const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(allocator);
+  STALLOC_CHECK(entry != nullptr, << "unknown allocator '" << allocator << "'");
   ServeExperimentResult result;
-  result.replay.kind = kind;
+  result.replay.allocator = entry->name;
 
   // Size the paged pool to the workload's natural page unless the caller pinned it.
   ExperimentOptions exp = options.base;
@@ -41,7 +45,7 @@ ServeExperimentResult RunServeExperiment(const ModelConfig& model, const ServeSc
   std::unique_ptr<Allocator> alloc;
   std::unique_ptr<STAllocAllocator> stalloc_alloc;
 
-  if (kind == AllocatorKind::kSTAlloc || kind == AllocatorKind::kSTAllocNoReuse) {
+  if (entry->requires_plan) {
     // Offline stage over a different serving day: same scenario, different seed — arrivals,
     // lengths and preemptions all differ, unlike training's repeating iterations.
     // wall_ms covers trace generation + replay, matching ProfileWorkload's Tprofile semantics.
@@ -50,16 +54,16 @@ ServeExperimentResult RunServeExperiment(const ModelConfig& model, const ServeSc
         BuildServeTrace(model, scenario, options.engine, exp.profile_seed);
     ProfileResult profile = ProfileTrace(std::move(profile_day.trace), exp.capacity_bytes);
     profile.wall_ms = profile_timer.ElapsedMillis();
-    stalloc_alloc = MakeSTAllocFromProfile(profile, kind, &device, &result.replay);
+    stalloc_alloc = MakeSTAllocFromProfile(profile, allocator, &device, &result.replay);
     if (stalloc_alloc == nullptr) {
       return result;
     }
   } else {
-    alloc = MakeBaselineAllocator(kind, &device, exp);
+    alloc = entry->factory(&device, exp);
   }
 
   Allocator* active = stalloc_alloc ? stalloc_alloc.get() : alloc.get();
-  STALLOC_CHECK(active != nullptr, << "no allocator for kind " << AllocatorKindName(kind));
+  STALLOC_CHECK(active != nullptr, << "allocator '" << allocator << "' built nothing");
   ReplayResult replay = ReplayTrace(run.trace, active);
   FinishExperimentResult(replay, *active, device, stalloc_alloc.get(), &result.replay);
   return result;

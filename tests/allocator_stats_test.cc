@@ -1,12 +1,18 @@
 // Coverage for the instrumented Allocator interface (src/allocators/allocator.h): the built-in
 // AllocatorStats counters (bytes moved, per-op latency) and the AllocatorStatsHook per-op
-// observer — the instrumentation every driver now reads instead of keeping its own counters.
+// observer — the instrumentation every driver now reads instead of keeping its own counters —
+// and the memory-stomping detector AllocatorBase::Malloc runs on every returned block.
 
 #include <cstdint>
+#include <deque>
+#include <optional>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/allocators/allocator.h"
 #include "src/allocators/caching_allocator.h"
 #include "src/allocators/native_allocator.h"
 #include "src/common/units.h"
@@ -101,6 +107,54 @@ TEST(AllocatorStats, HookObservesOomAndClearingStopsDelivery) {
   ASSERT_TRUE(a.has_value());
   alloc.Free(*a);
   EXPECT_EQ(hook.ops.size(), 1u);  // no further deliveries after the hook is cleared
+}
+
+// Returns whatever addresses it is scripted to, overlapping or not: the stomping detector in
+// AllocatorBase::Malloc is the only thing between a buggy policy and a corrupted ledger.
+class ScriptedAllocator final : public AllocatorBase {
+ public:
+  explicit ScriptedAllocator(std::deque<uint64_t> addresses) : addresses_(std::move(addresses)) {}
+  std::string_view name() const override { return "scripted"; }
+  uint64_t ReservedBytes() const override { return 0; }
+
+ protected:
+  std::optional<uint64_t> DoMalloc(uint64_t, const RequestContext&) override {
+    const uint64_t addr = addresses_.front();
+    addresses_.pop_front();
+    return addr;
+  }
+  void DoFree(uint64_t, uint64_t) override {}
+
+ private:
+  std::deque<uint64_t> addresses_;
+};
+
+TEST(AllocatorStompingDeathTest, AdjacentBlocksAreAccepted) {
+  ScriptedAllocator alloc({0x2000, 0x1000, 0x3000});
+  ASSERT_TRUE(alloc.Malloc(0x1000).has_value());  // [0x2000, 0x3000)
+  ASSERT_TRUE(alloc.Malloc(0x1000).has_value());  // [0x1000, 0x2000): ends at its successor
+  ASSERT_TRUE(alloc.Malloc(0x1000).has_value());  // [0x3000, 0x4000): starts at the end above
+  EXPECT_EQ(alloc.stats().live_blocks, 3u);
+}
+
+TEST(AllocatorStompingDeathTest, BlockOverlappingItsSuccessorAborts) {
+  EXPECT_DEATH(
+      {
+        ScriptedAllocator alloc({0x2000, 0x1800});
+        alloc.Malloc(0x1000);  // [0x2000, 0x3000)
+        alloc.Malloc(0x1000);  // [0x1800, 0x2800) runs into the block at 0x2000
+      },
+      "scripted: block \\[6144, 10240\\) stomps on live block at 8192");
+}
+
+TEST(AllocatorStompingDeathTest, BlockOverlappingItsPredecessorAborts) {
+  EXPECT_DEATH(
+      {
+        ScriptedAllocator alloc({0x2000, 0x2800});
+        alloc.Malloc(0x1000);  // [0x2000, 0x3000)
+        alloc.Malloc(0x100);   // starts inside it
+      },
+      "scripted: block at 10240 stomped by live block \\[8192, 12288\\)");
 }
 
 TEST(AllocatorStats, EfficiencyAndFragmentationDeriveFromPeaks) {

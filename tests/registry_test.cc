@@ -1,5 +1,5 @@
-// AllocatorRegistry: name round trips, unknown-name errors, per-kind override plumbing, and
-// exhaustiveness against AllAllocatorKinds().
+// AllocatorRegistry: name resolution, unknown-name errors, per-kind override plumbing, and the
+// stable registration order of the built-in names.
 
 #include "src/allocators/registry.h"
 
@@ -20,36 +20,41 @@ namespace {
 TEST(RegistryTest, UnknownNameIsAnError) {
   SimDevice device(1 * GiB);
   EXPECT_EQ(AllocatorRegistry::Global().Find("no-such-allocator"), nullptr);
-  EXPECT_EQ(AllocatorRegistry::Global().Create("no-such-allocator", &device), nullptr);
-  EXPECT_EQ(ParseAllocatorKind("no-such-allocator"), std::nullopt);
+  EXPECT_EQ(AllocatorRegistry::Global().Create("", &device), nullptr);
+  EXPECT_EQ(AllocatorRegistry::Global().Find("Torch-Caching"), nullptr);  // names are exact
 }
 
-TEST(RegistryTest, ExhaustiveAgainstAllAllocatorKinds) {
-  const std::vector<AllocatorKind> kinds = AllAllocatorKinds();
-  EXPECT_EQ(AllocatorRegistry::Global().size(), kinds.size());
-  EXPECT_EQ(AllocatorRegistry::Global().Names().size(), kinds.size());
-  // Every kind has a registry entry; the enum order matches registration order.
+TEST(RegistryTest, NamesAreUniqueAndInStableRegistrationOrder) {
   const std::vector<std::string> names = AllocatorRegistry::Global().Names();
-  for (size_t i = 0; i < kinds.size(); ++i) {
-    const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(kinds[i]);
-    ASSERT_NE(entry, nullptr) << "kind " << static_cast<int>(kinds[i]);
-    EXPECT_EQ(entry->name, names[i]);
-  }
-  // Names are unique.
+  EXPECT_EQ(AllocatorRegistry::Global().size(), names.size());
+  // The built-in order is part of the contract: ClusterResult::Digest() mixes a kind's
+  // position, so reordering would change every pinned cluster digest.
+  const std::vector<std::string> expected = {
+      "native",  "torch-caching",   "torch-expandable", "gmlake",
+      "stalloc", "stalloc-noreuse", "paged-kv",         "vmm"};
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(AllocatorRegistry().Names(), names);  // every fresh registry agrees
   const std::set<std::string> unique(names.begin(), names.end());
   EXPECT_EQ(unique.size(), names.size());
+  // The cluster subset keeps the order and drops exactly the plan kinds.
+  std::vector<std::string> factory_kinds;
+  for (const std::string& name : names) {
+    if (!AllocatorRegistry::Global().Find(name)->requires_plan) {
+      factory_kinds.push_back(name);
+    }
+  }
+  EXPECT_EQ(AllocatorRegistry::Global().Names(/*include_plan_kinds=*/false), factory_kinds);
 }
 
-TEST(RegistryTest, KindNameRoundTrip) {
-  for (AllocatorKind kind : AllAllocatorKinds()) {
-    const char* name = AllocatorKindName(kind);
-    ASSERT_STRNE(name, "?");
-    const auto parsed = ParseAllocatorKind(name);
-    ASSERT_TRUE(parsed.has_value()) << name;
-    EXPECT_EQ(*parsed, kind) << name;
+TEST(RegistryTest, EveryNameResolvesToItsEntry) {
+  const std::vector<std::string> names = AllocatorRegistry::Global().Names();
+  ASSERT_EQ(AllocatorRegistry::Global().entries().size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(names[i]);
+    ASSERT_NE(entry, nullptr) << names[i];
+    EXPECT_EQ(entry, &AllocatorRegistry::Global().entries()[i]) << names[i];
+    EXPECT_EQ(entry->name, names[i]);
   }
-  // The sentinel never resolves.
-  EXPECT_STREQ(AllocatorKindName(AllocatorKind::kCount), "?");
 }
 
 TEST(RegistryTest, PlanKindsHaveNoFactory) {
@@ -115,17 +120,15 @@ TEST(RegistryTest, GmlakeFragLimitOverridePlumbsThrough) {
   EXPECT_TRUE(alloc->Free(*addr));
 }
 
-TEST(RegistryTest, MakeBaselineAllocatorDelegatesToRegistry) {
-  for (AllocatorKind kind : AllAllocatorKinds()) {
+TEST(RegistryTest, CreateBuildsExactlyTheFactoryKinds) {
+  for (const std::string& name : AllocatorRegistry::Global().Names()) {
     SimDevice device(1 * GiB);
-    ExperimentOptions options;
-    auto via_shim = MakeBaselineAllocator(kind, &device, options);
-    const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(kind);
-    ASSERT_NE(entry, nullptr);
-    if (entry->requires_plan) {
-      EXPECT_EQ(via_shim, nullptr) << entry->name;
+    ExperimentOptions options;  // an ExperimentOptions passes straight through as options
+    auto alloc = AllocatorRegistry::Global().Create(name, &device, options);
+    if (AllocatorRegistry::Global().Find(name)->requires_plan) {
+      EXPECT_EQ(alloc, nullptr) << name;
     } else {
-      ASSERT_NE(via_shim, nullptr) << entry->name;
+      ASSERT_NE(alloc, nullptr) << name;
     }
   }
 }
@@ -135,22 +138,23 @@ TEST(RegistryTest, MakeBaselineAllocatorDelegatesToRegistry) {
 TEST(RegistryTest, NewKindsRegisterInOnePlace) {
   AllocatorRegistry registry;
   const size_t builtins = registry.size();
-  registry.Register({"paged-kv-2m", AllocatorKind::kCount, /*requires_plan=*/false,
+  registry.Register({"paged-kv-2m", /*requires_plan=*/false,
                      [](SimDevice* device, const AllocatorOptions&) -> std::unique_ptr<Allocator> {
                        SimDevice* d = device;
                        AllocatorOptions opts;
                        opts.paged_block_bytes = 2 * MiB;
                        return AllocatorRegistry::Global().Create("paged-kv", d, opts);
-                     }});
+                     },
+                     /*options_help=*/""});
   EXPECT_EQ(registry.size(), builtins + 1);
   SimDevice device(1 * GiB);
   auto alloc = registry.Create("paged-kv-2m", &device);
   ASSERT_NE(alloc, nullptr);
   ASSERT_TRUE(alloc->Malloc(1).has_value());
   EXPECT_EQ(alloc->stats().reserved_peak, 64 * 2 * MiB);
-  // Registered external kinds appear in listings but never alias an enum name.
+  // Registered external kinds append to the listing; the shared registry is untouched.
   EXPECT_EQ(registry.Names().back(), "paged-kv-2m");
-  EXPECT_EQ(registry.Find(AllocatorKind::kCount), nullptr);
+  EXPECT_EQ(AllocatorRegistry::Global().Find("paged-kv-2m"), nullptr);
 }
 
 }  // namespace

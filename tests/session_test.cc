@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/allocators/registry.h"
+#include "src/api/serializers.h"
 #include "src/api/spec.h"
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/fleet.h"
@@ -39,7 +41,7 @@ ExperimentOptions SmallOptions() {
 }
 
 void ExpectBitIdentical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.allocator, b.allocator);
   EXPECT_EQ(a.oom, b.oom);
   EXPECT_EQ(a.infeasible, b.infeasible);
   EXPECT_EQ(a.allocated_peak, b.allocated_peak);
@@ -64,7 +66,7 @@ TEST(Session, TrainRankMatchesRunExperimentBitForBit) {
     RunRecord rec = session.RunOne(spec, alloc);
 
     WorkloadBuilder workload(ModelByName("gpt2"), spec.train);
-    ExperimentResult direct = RunExperiment(workload, *ParseAllocatorKind(alloc), spec.options);
+    ExperimentResult direct = RunExperiment(workload, alloc, spec.options);
 
     ASSERT_TRUE(rec.train_rank.has_value()) << alloc;
     ExpectBitIdentical(*rec.train_rank, direct);
@@ -89,7 +91,7 @@ TEST(Session, ConfigTagMatchesApplyConfigTag) {
   RunRecord rec = session.RunOne(spec, "torch-caching");
 
   WorkloadBuilder workload(ModelByName("gpt2"), ApplyConfigTag(SmallTrain(), "R"));
-  ExperimentResult direct = RunExperiment(workload, AllocatorKind::kCaching, spec.options);
+  ExperimentResult direct = RunExperiment(workload, "torch-caching", spec.options);
   ASSERT_TRUE(rec.train_rank.has_value());
   ExpectBitIdentical(*rec.train_rank, direct);
 }
@@ -104,8 +106,7 @@ TEST(Session, TrainJobMatchesRunJobBitForBit) {
   Session session;
   RunRecord rec = session.RunOne(spec, "torch-caching");
 
-  JobResult direct = RunJob(ModelByName("gpt2"), spec.train, AllocatorKind::kCaching,
-                            spec.options);
+  JobResult direct = RunJob(ModelByName("gpt2"), spec.train, "torch-caching", spec.options);
   ASSERT_TRUE(rec.job.has_value());
   ASSERT_EQ(rec.job->ranks.size(), direct.ranks.size());
   for (size_t i = 0; i < direct.ranks.size(); ++i) {
@@ -134,8 +135,8 @@ TEST(Session, ServingMatchesRunServeExperimentBitForBit) {
     ServeOptions serve_options;
     serve_options.base = spec.options;
     serve_options.engine = spec.engine;
-    ServeExperimentResult direct = RunServeExperiment(ModelByName("gpt2"), scenario,
-                                                      *ParseAllocatorKind(alloc), serve_options);
+    ServeExperimentResult direct =
+        RunServeExperiment(ModelByName("gpt2"), scenario, alloc, serve_options);
 
     ASSERT_TRUE(rec.serve.has_value()) << alloc;
     ExpectBitIdentical(rec.serve->replay, direct.replay);
@@ -162,7 +163,7 @@ TEST(Session, ClusterMatchesRunClusterBitForBit) {
   FleetConfig fleet;
   fleet.device_capacities = {16ull * GiB, 16ull * GiB};
   fleet.policy = SchedulerPolicy::kFirstFit;
-  fleet.allocator = AllocatorKind::kCaching;
+  fleet.allocator = "torch-caching";
   const std::vector<ClusterJob> jobs = GenerateClusterWorkload(spec.cluster, 7);
   ClusterResult direct = RunCluster(fleet, jobs);
 
@@ -206,7 +207,7 @@ TEST(Session, RepeatBumpsRunSeedOnly) {
   ExperimentOptions bumped = spec.options;
   bumped.run_seed += 1;
   WorkloadBuilder workload(ModelByName("qwen1.5-moe"), spec.train);
-  ExperimentResult direct = RunExperiment(workload, AllocatorKind::kCaching, bumped);
+  ExperimentResult direct = RunExperiment(workload, "torch-caching", bumped);
   ASSERT_TRUE(r1.train_rank.has_value());
   ExpectBitIdentical(*r1.train_rank, direct);
 }
@@ -292,19 +293,41 @@ TEST(Session, ValidateRejectsBadSpecs) {
 
 // Registers an extra kind into the Global() registry; declared after every test whose
 // expectations could observe it (none here enumerate the registry, but keep it late anyway).
-TEST(Session, ValidateRejectsKindlessExternalAllocators) {
+TEST(Session, ExternallyRegisteredKindRunsLikeItsDelegate) {
   AllocatorRegistry::Global().Register(
-      {"session-test-notag", AllocatorKind::kCount, /*requires_plan=*/false,
+      {"session-test-external", /*requires_plan=*/false,
        [](SimDevice* device, const AllocatorOptions& options) {
          return AllocatorRegistry::Global().Create("torch-caching", device, options);
-       }});
-  std::string error;
+       },
+       /*options_help=*/""});
   ExperimentSpec spec;
-  spec.allocators = {"session-test-notag"};
-  // Creatable through the registry, but not runnable through Session dispatch — Validate must
-  // say so gracefully instead of RunOne aborting mid-run.
-  EXPECT_FALSE(Session::Validate(spec, &error));
-  EXPECT_NE(error.find("AllocatorKind"), std::string::npos);
+  spec.axis = WorkloadAxis::kTrainRank;
+  spec.model = "gpt2";
+  spec.train = SmallTrain();
+  spec.options = SmallOptions();
+  spec.allocators = {"session-test-external"};
+  std::string error;
+  ASSERT_TRUE(Session::Validate(spec, &error)) << error;
+
+  Session session;
+  RunRecord external = session.RunOne(spec, "session-test-external");
+  RunRecord builtin = session.RunOne(spec, "torch-caching");
+  ASSERT_TRUE(external.train_rank.has_value());
+  ASSERT_TRUE(builtin.train_rank.has_value());
+  EXPECT_EQ(external.allocator, "session-test-external");
+  EXPECT_EQ(external.train_rank->allocator, "session-test-external");
+
+  // Everything but the name (and the wall-clock phase timings) equals the delegate's record.
+  Json external_json = ToJson(external);
+  Json builtin_json = ToJson(builtin);
+  for (Json* j : {&external_json, &builtin_json}) {
+    j->Set("allocator", nullptr);
+    j->Set("phases", nullptr);
+  }
+  EXPECT_EQ(external_json.Dump(), builtin_json.Dump());
+  ExperimentResult renamed = *external.train_rank;
+  renamed.allocator = builtin.train_rank->allocator;
+  ExpectBitIdentical(renamed, *builtin.train_rank);
 }
 
 TEST(Session, AxisNameRoundTrip) {
