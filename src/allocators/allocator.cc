@@ -110,7 +110,7 @@ bool AllocatorBase::Free(uint64_t addr) {
   // Exact high-water-mark capture: leaving a new global allocated peak for the first time,
   // snapshot before the ledger shrinks so the frame holds the full peak-resident set. One
   // relaxed armed() load when no heap map was requested; folded away when telemetry is off.
-  if (telemetry_on && !heap_suppressed_ &&
+  if (telemetry_on &&
       (heap_ != nullptr || telemetry::HeapMapRecorder::Global().armed()) &&
       stats_.allocated_current == stats_.allocated_peak) {
     MaybeHeapMapPeak();
@@ -231,7 +231,7 @@ void AllocatorBase::RecordTelemetryOom(uint64_t size) {
 
   // The address space at the instant of failure is the heap map's most valuable frame: it
   // shows which blocks pinned the gaps that refused this request.
-  if (!heap_suppressed_ && telemetry::HeapMapRecorder::Global().armed() &&
+  if (telemetry::HeapMapRecorder::Global().armed() &&
       EnsureHeapMapState()->config.on_oom) {
     CaptureHeapSnapshot(telemetry::HeapTrigger::kOom, size);
   }
@@ -256,9 +256,6 @@ AllocatorBase::HeapMapState* AllocatorBase::EnsureHeapMapState() {
 }
 
 void AllocatorBase::MaybeHeapMapMalloc(uint64_t addr, const RequestContext& ctx) {
-  if (heap_suppressed_) {
-    return;  // the owning allocator's ledger covers this pool's blocks
-  }
   HeapMapState* hs = EnsureHeapMapState();
   HeapMapState::Tag& tag = hs->tags[addr];  // overwrites a stale tag on address reuse
   tag.phase = ctx.phase;
@@ -325,7 +322,7 @@ void AllocatorBase::CaptureHeapSnapshot(telemetry::HeapTrigger trigger, uint64_t
 
 void AllocatorBase::CaptureHeapSnapshotImpl(telemetry::HeapTrigger trigger,
                                             uint64_t failed_size, bool urgent) {
-  if (!telemetry::Enabled() || heap_suppressed_) {
+  if (!telemetry::Enabled()) {
     return;
   }
   auto& recorder = telemetry::HeapMapRecorder::Global();
@@ -376,11 +373,6 @@ void AllocatorBase::CaptureHeapSnapshotImpl(telemetry::HeapTrigger trigger,
 
   telemetry::FinalizeHeapSnapshot(&snap);
   recorder.Record(std::move(snap));
-}
-
-uint64_t AllocatorBase::LiveSize(uint64_t addr) const {
-  auto it = live_.find(addr);
-  return it == live_.end() ? 0 : it->second;
 }
 
 void AllocatorBase::NotePressure() {

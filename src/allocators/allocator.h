@@ -6,6 +6,10 @@
 // AllocatorBase adds uniform accounting (allocated/reserved current & peak → memory efficiency
 // E = Ma/Mr of §2.2) and a memory-stomping detector: no two live blocks may overlap. A stomping
 // bug in any allocator aborts immediately rather than corrupting the "training".
+//
+// One ledger per allocator: AllocatorBase's live map is the only record of live blocks, updated
+// once per Malloc/Free. Embedded pools (CachingPool in STAlloc, GMLake, expandable segments and
+// VMM) are policies, not allocators: they place and release blocks but record nothing.
 
 #ifndef SRC_ALLOCATORS_ALLOCATOR_H_
 #define SRC_ALLOCATORS_ALLOCATOR_H_
@@ -145,10 +149,6 @@ class AllocatorBase : public Allocator {
   // into the telemetry MetricsRegistry either way, so `--metrics` output does not depend on
   // whether a snapshot hook happens to be attached.
   void SetStatsHook(AllocatorStatsHook* hook) { hook_ = hook; }
-  AllocatorStatsHook* stats_hook() const { return hook_; }
-
-  // Live requested size for a given address (0 if unknown). For tests.
-  uint64_t LiveSize(uint64_t addr) const;
 
   // Default segment view: one "direct" reservation per live block. Exact for the native
   // allocator; pooling allocators override with their real segments/slabs/pools.
@@ -156,16 +156,9 @@ class AllocatorBase : public Allocator {
 
   // Captures a heap-map snapshot of this allocator right now and hands it to the global
   // HeapMapRecorder. No-op unless telemetry is enabled and the recorder is armed (and this
-  // allocator is not suppressed / over its per-allocator snapshot cap). `failed_size` is the
-  // request size for kOom snapshots.
+  // allocator is under its per-allocator snapshot cap). `failed_size` is the request size for
+  // kOom snapshots.
   void CaptureHeapSnapshot(telemetry::HeapTrigger trigger, uint64_t failed_size = 0);
-
-  // Excludes this allocator from snapshot capture. Owners of nested pools (STAlloc's caching
-  // fallback, GMLake's / expandable's / vmm's small pool) call this on the inner allocator: the
-  // outer live_ ledger already covers every block the inner pool serves, so an inner snapshot
-  // would double-report; the outer AppendHeapSegments delegates to the inner pool for segments
-  // (the VMM additionally reports its own contiguous mapped-page runs as segments).
-  void SuppressHeapSnapshots() { heap_suppressed_ = true; }
 
  protected:
   virtual std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) = 0;
@@ -224,7 +217,6 @@ class AllocatorBase : public Allocator {
   AllocatorStatsHook* hook_ = nullptr;
   std::unique_ptr<telemetry::FlightRing> flight_;
   std::unique_ptr<HeapMapState> heap_;
-  bool heap_suppressed_ = false;
   // addr -> requested size of live blocks, used for accounting and overlap detection.
   std::map<uint64_t, uint64_t> live_;
 };

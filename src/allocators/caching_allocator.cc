@@ -11,12 +11,12 @@
 
 namespace stalloc {
 
-CachingAllocator::CachingAllocator(SimDevice* device, CachingAllocatorConfig config)
+CachingPool::CachingPool(SimDevice* device, CachingAllocatorConfig config)
     : device_(device), config_(config) {
   STALLOC_CHECK(IsPowerOfTwo(config_.min_block_size));
 }
 
-CachingAllocator::~CachingAllocator() {
+CachingPool::~CachingPool() {
   // Return every segment to the device so a shared SimDevice's accounting stays clean.
   for (auto& seg : segments_) {
     if (!seg.released) {
@@ -25,14 +25,14 @@ CachingAllocator::~CachingAllocator() {
   }
 }
 
-uint64_t CachingAllocator::RoundSize(uint64_t size) const {
+uint64_t CachingPool::RoundSize(uint64_t size) const {
   if (size < config_.min_block_size) {
     return config_.min_block_size;
   }
   return AlignUp(size, config_.min_block_size);
 }
 
-uint64_t CachingAllocator::SegmentSizeFor(uint64_t rounded) const {
+uint64_t CachingPool::SegmentSizeFor(uint64_t rounded) const {
   if (IsSmall(rounded)) {
     return config_.small_buffer;
   }
@@ -42,7 +42,7 @@ uint64_t CachingAllocator::SegmentSizeFor(uint64_t rounded) const {
   return AlignUp(rounded, config_.round_large);
 }
 
-uint32_t CachingAllocator::NewBlockSlot() {
+uint32_t CachingPool::NewBlockSlot() {
   if (!free_slots_.empty()) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -52,15 +52,15 @@ uint32_t CachingAllocator::NewBlockSlot() {
   return static_cast<uint32_t>(blocks_.size() - 1);
 }
 
-void CachingAllocator::ReleaseBlockSlot(uint32_t slot) { free_slots_.push_back(slot); }
+void CachingPool::ReleaseBlockSlot(uint32_t slot) { free_slots_.push_back(slot); }
 
-uint32_t CachingAllocator::FindBlock(uint64_t addr) const {
+uint32_t CachingPool::FindBlock(uint64_t addr) const {
   auto it = by_addr_.find(addr);
   return it == by_addr_.end() ? kNoBlock : it->second;
 }
 
-std::optional<uint64_t> CachingAllocator::AllocFromCache(uint64_t rounded, bool small,
-                                                         StreamId stream) {
+std::optional<uint64_t> CachingPool::AllocFromCache(uint64_t rounded, bool small,
+                                                    StreamId stream) {
   auto best = FreeListFor(small, stream).PopBestFit(rounded);
   if (!best.has_value()) {
     return std::nullopt;
@@ -74,7 +74,7 @@ std::optional<uint64_t> CachingAllocator::AllocFromCache(uint64_t rounded, bool 
   return addr;
 }
 
-void CachingAllocator::SplitBlock(uint32_t slot, uint64_t want) {
+void CachingPool::SplitBlock(uint32_t slot, uint64_t want) {
   Block& block = blocks_[slot];
   STALLOC_CHECK_GE(block.size, want);
   const uint64_t remainder = block.size - want;
@@ -106,13 +106,13 @@ void CachingAllocator::SplitBlock(uint32_t slot, uint64_t want) {
   FreeListFor(small, seg.stream).Insert(remainder, rest.addr);
 }
 
-std::optional<uint64_t> CachingAllocator::AllocFromNewSegment(uint64_t rounded, bool small,
-                                                              StreamId stream) {
+std::optional<uint64_t> CachingPool::AllocFromNewSegment(uint64_t rounded, bool small,
+                                                         StreamId stream) {
   const uint64_t seg_size = SegmentSizeFor(rounded);
   auto base = device_->DevMalloc(seg_size);
   if (!base.has_value()) {
     // Device OOM: release cached fully-free segments, then retry once (PyTorch behaviour).
-    if (ReleaseCachedSegments() == 0) {
+    if (EmptyCache() == 0) {
       return std::nullopt;
     }
     base = device_->DevMalloc(seg_size);
@@ -143,26 +143,25 @@ std::optional<uint64_t> CachingAllocator::AllocFromNewSegment(uint64_t rounded, 
   return *base;
 }
 
-std::optional<uint64_t> CachingAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
+std::optional<uint64_t> CachingPool::Malloc(uint64_t size, StreamId stream) {
   const uint64_t rounded = RoundSize(size);
   const bool small = IsSmall(rounded);
-  if (auto addr = AllocFromCache(rounded, small, ctx.stream); addr.has_value()) {
+  if (auto addr = AllocFromCache(rounded, small, stream); addr.has_value()) {
     return addr;
   }
-  return AllocFromNewSegment(rounded, small, ctx.stream);
+  return AllocFromNewSegment(rounded, small, stream);
 }
 
-void CachingAllocator::DoFree(uint64_t addr, uint64_t size) {
-  (void)size;
+void CachingPool::Free(uint64_t addr) {
   const uint32_t slot = FindBlock(addr);
   STALLOC_CHECK(slot != kNoBlock && !blocks_[slot].free,
-                << "caching allocator: free of unknown block " << addr);
+                << "caching pool: free of unknown block " << addr);
   blocks_[slot].free = true;
   segments_[blocks_[slot].segment].free_bytes += blocks_[slot].size;
   Coalesce(slot);
 }
 
-void CachingAllocator::Coalesce(uint32_t slot) {
+void CachingPool::Coalesce(uint32_t slot) {
   Block& block = blocks_[slot];
   const uint32_t seg_id = block.segment;
   auto& free_list = FreeListFor(segments_[seg_id].small, segments_[seg_id].stream);
@@ -198,7 +197,7 @@ void CachingAllocator::Coalesce(uint32_t slot) {
   free_list.Insert(blocks_[merged].size, blocks_[merged].addr);
 }
 
-uint64_t CachingAllocator::ReleaseCachedSegments() {
+uint64_t CachingPool::EmptyCache() {
   uint64_t released = 0;
   for (uint32_t seg_id = 0; seg_id < segments_.size(); ++seg_id) {
     Segment& seg = segments_[seg_id];
@@ -222,7 +221,7 @@ uint64_t CachingAllocator::ReleaseCachedSegments() {
 }
 
 void CachingAllocator::EmptyCache() {
-  const uint64_t released = ReleaseCachedSegments();
+  const uint64_t released = pool_.EmptyCache();
   if (telemetry::Enabled()) {
     static telemetry::Counter* empties =
         telemetry::MetricsRegistry::Global().GetCounter("alloc.empty_cache_calls");
@@ -238,7 +237,7 @@ void CachingAllocator::EmptyCache() {
   }
 }
 
-uint64_t CachingAllocator::cached_free_bytes() const {
+uint64_t CachingPool::cached_free_bytes() const {
   uint64_t total = 0;
   for (const auto& seg : segments_) {
     if (!seg.released) {
@@ -248,7 +247,7 @@ uint64_t CachingAllocator::cached_free_bytes() const {
   return total;
 }
 
-void CachingAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
+void CachingPool::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
   for (const auto& seg : segments_) {
     if (seg.released) {
       continue;

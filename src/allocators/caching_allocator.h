@@ -18,6 +18,10 @@
 // This is the "online best-fit without lifespan knowledge" policy whose fragmentation behaviour
 // §2.2 analyses.
 //
+// CachingPool is the policy, not an allocator: no ledger, stats or telemetry. CachingAllocator
+// is AllocatorBase over one CachingPool; STAlloc, GMLake, expandable segments and VMM embed a
+// CachingPool, so each block sits in exactly one ledger, its owner's.
+//
 // Block records live in a slot pool threaded into per-segment doubly-linked lists in address
 // order (as in upstream PyTorch), with a hash map from address to slot: the replay hot path does
 // no ordered-tree walk besides the BestFitIndex size lookup.
@@ -48,26 +52,33 @@ struct CachingAllocatorConfig {
   uint64_t round_large = 2 * MiB;         // kRoundLarge: rounding for big segments
 };
 
-class CachingAllocator final : public AllocatorBase {
+// The PyTorch caching policy over one device: segments, per-(pool, stream) free lists,
+// split/coalesce and the release-and-retry OOM protocol. It records no live blocks of its own.
+class CachingPool {
  public:
-  explicit CachingAllocator(SimDevice* device,
-                            CachingAllocatorConfig config = CachingAllocatorConfig{});
-  ~CachingAllocator() override;
+  explicit CachingPool(SimDevice* device,
+                       CachingAllocatorConfig config = CachingAllocatorConfig{});
+  ~CachingPool();
+  CachingPool(const CachingPool&) = delete;
+  CachingPool& operator=(const CachingPool&) = delete;
 
-  std::string_view name() const override { return "torch-caching"; }
-  uint64_t ReservedBytes() const override { return reserved_; }
-  void EmptyCache() override;
-  void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
+  // Serves `size` (> 0) bytes on `stream`: cached block first, then a fresh segment, then
+  // release-all-free-segments and retry once. nullopt when the device is truly full.
+  std::optional<uint64_t> Malloc(uint64_t size, StreamId stream);
+  // Returns a block served by Malloc. The owner's ledger vouches for `addr`; an address this
+  // pool does not hold live aborts.
+  void Free(uint64_t addr);
+
+  uint64_t ReservedBytes() const { return reserved_; }
+  // Releases all fully-free segments back to the device; returns the bytes released.
+  uint64_t EmptyCache();
+  void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const;
 
   // Introspection for tests.
   size_t num_segments() const { return segments_.size(); }
   uint64_t cached_free_bytes() const;
   // Rounded request size per the PyTorch rounding rule (exposed for tests).
   uint64_t RoundSize(uint64_t size) const;
-
- protected:
-  std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
-  void DoFree(uint64_t addr, uint64_t size) override;
 
  private:
   static constexpr uint32_t kNoBlock = ~uint32_t{0};
@@ -105,8 +116,6 @@ class CachingAllocator final : public AllocatorBase {
   std::optional<uint64_t> AllocFromCache(uint64_t rounded, bool small, StreamId stream);
   // Allocates a fresh segment from the device and serves from it.
   std::optional<uint64_t> AllocFromNewSegment(uint64_t rounded, bool small, StreamId stream);
-  // Releases all fully-free segments back to the device; returns bytes released.
-  uint64_t ReleaseCachedSegments();
   void SplitBlock(uint32_t slot, uint64_t want);
   void Coalesce(uint32_t slot);
 
@@ -118,6 +127,32 @@ class CachingAllocator final : public AllocatorBase {
   std::map<PoolKey, BestFitIndex> free_lists_;
   std::vector<Segment> segments_;
   uint64_t reserved_ = 0;
+};
+
+// The "torch-caching" baseline: the PyTorch caching policy behind AllocatorBase's ledger.
+class CachingAllocator final : public AllocatorBase {
+ public:
+  explicit CachingAllocator(SimDevice* device,
+                            CachingAllocatorConfig config = CachingAllocatorConfig{})
+      : pool_(device, config) {}
+
+  std::string_view name() const override { return "torch-caching"; }
+  uint64_t ReservedBytes() const override { return pool_.ReservedBytes(); }
+  void EmptyCache() override;
+  void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override {
+    pool_.AppendHeapSegments(out);
+  }
+
+  const CachingPool& pool() const { return pool_; }  // introspection for tests
+
+ protected:
+  std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override {
+    return pool_.Malloc(size, ctx.stream);
+  }
+  void DoFree(uint64_t addr, uint64_t /*size*/) override { pool_.Free(addr); }
+
+ private:
+  CachingPool pool_;
 };
 
 }  // namespace stalloc

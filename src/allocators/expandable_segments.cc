@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -14,12 +13,7 @@ namespace stalloc {
 
 ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(SimDevice* device,
                                                          ExpandableSegmentsConfig config)
-    : device_(device), config_(config) {
-  small_pool_ = std::make_unique<CachingAllocator>(device);
-  // Our live_ ledger covers small-pool blocks; the inner pool contributes segments only (see
-  // AppendHeapSegments), never its own snapshots.
-  small_pool_->SuppressHeapSnapshots();
-}
+    : device_(device), config_(config), small_pool_(device) {}
 
 ExpandableSegmentsAllocator::~ExpandableSegmentsAllocator() {
   for (auto& [stream, seg] : streams_) {
@@ -61,13 +55,13 @@ uint64_t ExpandableSegmentsAllocator::mapped_bytes() const {
 }
 
 uint64_t ExpandableSegmentsAllocator::ReservedBytes() const {
-  return mapped_bytes() + small_pool_->ReservedBytes();
+  return mapped_bytes() + small_pool_.ReservedBytes();
 }
 
 std::optional<uint64_t> ExpandableSegmentsAllocator::DoMalloc(uint64_t size,
                                                               const RequestContext& ctx) {
   if (IsSmall(size)) {
-    return small_pool_->Malloc(size, ctx);
+    return small_pool_.Malloc(size, ctx.stream);
   }
   StreamSegment& seg = SegmentFor(ctx.stream);
   const uint64_t rounded = AlignUp(size, 512);
@@ -75,20 +69,22 @@ std::optional<uint64_t> ExpandableSegmentsAllocator::DoMalloc(uint64_t size,
   if (!off.has_value()) {
     return std::nullopt;
   }
-  block_stream_.emplace(seg.va + *off, ctx.stream);
   return seg.va + *off;
 }
 
 void ExpandableSegmentsAllocator::DoFree(uint64_t addr, uint64_t size) {
   if (IsSmall(size)) {
-    STALLOC_CHECK(small_pool_->Free(addr));
+    small_pool_.Free(addr);
     return;
   }
-  auto sit = block_stream_.find(addr);
-  STALLOC_CHECK(sit != block_stream_.end(), << "expandable segments: unknown address " << addr);
-  StreamSegment& seg = streams_.at(sit->second);
-  block_stream_.erase(sit);
-  LargeFree(seg, addr - seg.va);
+  // Frees carry no stream: scan the (one per stream) segments for the VA range holding addr.
+  for (auto& [stream, seg] : streams_) {
+    if (addr >= seg.va && addr < seg.va + seg.va_size) {
+      LargeFree(seg, addr - seg.va);
+      return;
+    }
+  }
+  STALLOC_CHECK(false, << "expandable segments: unknown address " << addr);
 }
 
 std::optional<uint64_t> ExpandableSegmentsAllocator::LargeMalloc(StreamSegment& seg,
@@ -144,7 +140,7 @@ bool ExpandableSegmentsAllocator::Grow(StreamSegment& seg, uint64_t bytes) {
       // Device OOM: let the small pool return cached segments and *other* streams trim, then
       // retry once. The growing segment itself must not be trimmed — its frontier is the very
       // region being extended.
-      small_pool_->EmptyCache();
+      small_pool_.EmptyCache();
       for (auto& [stream, other] : streams_) {
         if (&other == &seg) {
           continue;
@@ -256,7 +252,7 @@ void ExpandableSegmentsAllocator::TrimTail(StreamSegment& seg) {
 }
 
 void ExpandableSegmentsAllocator::EmptyCache() {
-  small_pool_->EmptyCache();
+  small_pool_.EmptyCache();
   const uint64_t saved = config_.trim_threshold;
   config_.trim_threshold = 1;
   for (auto& [stream, seg] : streams_) {
@@ -279,7 +275,7 @@ void ExpandableSegmentsAllocator::AppendHeapSegments(
     s.pool = "expandable";
     out->push_back(std::move(s));
   }
-  small_pool_->AppendHeapSegments(out);
+  small_pool_.AppendHeapSegments(out);
 }
 
 }  // namespace stalloc

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -53,7 +52,6 @@ class ExpandableSegmentsAllocator final : public AllocatorBase {
 
   // Introspection for tests: mapped bytes across all stream segments.
   uint64_t mapped_bytes() const;
-  size_t num_stream_segments() const { return streams_.size(); }
 
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
@@ -90,10 +88,8 @@ class ExpandableSegmentsAllocator final : public AllocatorBase {
 
   SimDevice* device_;
   ExpandableSegmentsConfig config_;
-  std::unique_ptr<CachingAllocator> small_pool_;
+  CachingPool small_pool_;  // requests <= small_size
   std::map<StreamId, StreamSegment> streams_;
-  // addr -> owning stream for large blocks (frees carry no stream).
-  std::map<uint64_t, StreamId> block_stream_;
 };
 
 }  // namespace stalloc

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -16,12 +15,7 @@
 namespace stalloc {
 
 GMLakeAllocator::GMLakeAllocator(SimDevice* device, GMLakeConfig config)
-    : device_(device), config_(config) {
-  small_pool_ = std::make_unique<CachingAllocator>(device);
-  // Our own live_ ledger already covers small-pool blocks (they enter through our Malloc), so
-  // the inner pool must not emit its own heap snapshots; we delegate to it for segments only.
-  small_pool_->SuppressHeapSnapshots();
-}
+    : device_(device), config_(config), small_pool_(device) {}
 
 GMLakeAllocator::~GMLakeAllocator() {
   for (uint32_t seg_id = 0; seg_id < segments_.size(); ++seg_id) {
@@ -41,7 +35,7 @@ GMLakeAllocator::~GMLakeAllocator() {
 }
 
 uint64_t GMLakeAllocator::ReservedBytes() const {
-  return reserved_large_ + small_pool_->ReservedBytes();
+  return reserved_large_ + small_pool_.ReservedBytes();
 }
 
 uint64_t GMLakeAllocator::SegmentSizeFor(uint64_t rounded) const {
@@ -53,14 +47,14 @@ uint64_t GMLakeAllocator::SegmentSizeFor(uint64_t rounded) const {
 
 std::optional<uint64_t> GMLakeAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
   if (IsSmall(size)) {
-    return small_pool_->Malloc(size, ctx);
+    return small_pool_.Malloc(size, ctx.stream);
   }
   return LargeMalloc(AlignUp(size, 512), ctx.stream);
 }
 
 void GMLakeAllocator::DoFree(uint64_t addr, uint64_t size) {
   if (IsSmall(size)) {
-    STALLOC_CHECK(small_pool_->Free(addr));
+    small_pool_.Free(addr);
     return;
   }
   auto it = blocks_.find(addr);
@@ -308,18 +302,8 @@ uint64_t GMLakeAllocator::ReleaseCachedSegments() {
 }
 
 void GMLakeAllocator::EmptyCache() {
-  small_pool_->EmptyCache();
+  small_pool_.EmptyCache();
   ReleaseCachedSegments();
-}
-
-size_t GMLakeAllocator::num_segments() const {
-  size_t n = 0;
-  for (const auto& seg : segments_) {
-    if (!seg.released) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 void GMLakeAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
@@ -334,7 +318,7 @@ void GMLakeAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* ou
     s.pool = seg.stitched ? "stitched" : "pblock";
     out->push_back(std::move(s));
   }
-  small_pool_->AppendHeapSegments(out);
+  small_pool_.AppendHeapSegments(out);
 }
 
 }  // namespace stalloc

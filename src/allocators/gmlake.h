@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -45,7 +44,6 @@ class GMLakeAllocator final : public AllocatorBase {
 
   // Introspection for tests / benches.
   uint64_t num_stitches() const { return num_stitches_; }
-  size_t num_segments() const;
 
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
@@ -91,7 +89,7 @@ class GMLakeAllocator final : public AllocatorBase {
 
   SimDevice* device_;
   GMLakeConfig config_;
-  std::unique_ptr<CachingAllocator> small_pool_;
+  CachingPool small_pool_;  // requests <= small_size
   std::vector<Segment> segments_;
   std::map<uint64_t, Block> blocks_;
   std::map<StreamId, BestFitIndex> free_lists_;

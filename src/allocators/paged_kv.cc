@@ -33,9 +33,7 @@ bool PagedKVAllocator::GrowPool() {
     }
     slabs_.emplace(*base, Slab{blocks, blocks});
     for (uint64_t b = 0; b < blocks; ++b) {
-      const uint64_t addr = *base + b * config_.block_bytes;
-      free_blocks_.insert(addr);
-      block_slab_.emplace(addr, *base);
+      free_blocks_.insert(*base + b * config_.block_bytes);
     }
     reserved_ += SlabBytes(blocks);
     return true;
@@ -52,7 +50,7 @@ std::optional<uint64_t> PagedKVAllocator::DoMalloc(uint64_t size, const RequestC
     const auto it = free_blocks_.begin();
     const uint64_t addr = *it;
     free_blocks_.erase(it);
-    --slabs_.at(block_slab_.at(addr)).free;
+    --std::prev(slabs_.upper_bound(addr))->second.free;  // the slab starting at or below addr
     return addr;
   }
   // Non-KV-sized request (weights, prefill activations): native passthrough, with one retry
@@ -71,11 +69,12 @@ std::optional<uint64_t> PagedKVAllocator::DoMalloc(uint64_t size, const RequestC
 }
 
 void PagedKVAllocator::DoFree(uint64_t addr, uint64_t size) {
-  auto block = block_slab_.find(addr);
-  if (block != block_slab_.end()) {
+  if (size <= config_.block_bytes) {  // a pool block: DoMalloc routes on the same test
+    const auto slab = slabs_.upper_bound(addr);
+    STALLOC_CHECK(slab != slabs_.begin(), << "paged-kv free of unknown address " << addr);
     const bool inserted = free_blocks_.insert(addr).second;
     STALLOC_CHECK(inserted, << "double free of pool block " << addr);
-    ++slabs_.at(block->second).free;
+    ++std::prev(slab)->second.free;
     return;
   }
   auto pass = passthrough_.find(addr);
@@ -96,9 +95,7 @@ void PagedKVAllocator::EmptyCache() {
   for (uint64_t base : releasable) {
     const Slab slab = slabs_.at(base);
     for (uint64_t b = 0; b < slab.blocks; ++b) {
-      const uint64_t addr = base + b * config_.block_bytes;
-      free_blocks_.erase(addr);
-      block_slab_.erase(addr);
+      free_blocks_.erase(base + b * config_.block_bytes);
     }
     device_->DevFree(base);
     reserved_ -= SlabBytes(slab.blocks);

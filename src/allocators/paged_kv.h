@@ -75,7 +75,6 @@ class PagedKVAllocator final : public AllocatorBase {
   PagedKVConfig config_;
   std::map<uint64_t, Slab> slabs_;          // slab base -> slab
   std::set<uint64_t> free_blocks_;          // free block base addresses (lowest-first reuse)
-  std::map<uint64_t, uint64_t> block_slab_;   // block addr -> owning slab base
   std::map<uint64_t, uint64_t> passthrough_;  // direct cudaMalloc allocations: addr -> size
   uint64_t reserved_ = 0;
 };

@@ -74,7 +74,7 @@ LocalPlan PackInOrder(const std::vector<MemoryEvent>& events, PhaseId ps, PhaseI
   for (const auto& e : events) {
     PlanDecision d;
     d.event = e;
-    d.padded_size = AlignUp(std::max<uint64_t>(e.size, 1), kPlanAlign);
+    d.padded_size = PlanPaddedSize(e.size);
     d.addr = FirstFitOffset(plan.items, e, d.padded_size, 0);
     plan.footprint = std::max(plan.footprint, d.end_addr());
     plan.ts = std::min(plan.ts, e.ts);

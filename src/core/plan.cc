@@ -25,8 +25,15 @@ std::string SweepCheck(const std::vector<PlanDecision>& decisions, uint64_t pool
   std::vector<Point> points;
   points.reserve(decisions.size() * 2);
   for (size_t i = 0; i < decisions.size(); ++i) {
-    points.push_back({decisions[i].event.ts, true, i});
-    points.push_back({decisions[i].event.te, false, i});
+    const PlanDecision& d = decisions[i];
+    if (d.padded_size != PlanPaddedSize(d.event.size)) {
+      std::ostringstream os;
+      os << "decision for event " << d.event.id << " has padded_size " << d.padded_size
+         << ", expected " << PlanPaddedSize(d.event.size) << " for size " << d.event.size;
+      return os.str();
+    }
+    points.push_back({d.event.ts, true, i});
+    points.push_back({d.event.te, false, i});
   }
   std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
     if (a.time != b.time) {

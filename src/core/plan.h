@@ -7,10 +7,12 @@
 #ifndef SRC_CORE_PLAN_H_
 #define SRC_CORE_PLAN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/common/units.h"
 #include "src/trace/trace.h"
 
 namespace stalloc {
@@ -34,8 +36,9 @@ struct StaticPlan {
 
   bool empty() const { return decisions.empty(); }
 
-  // Verifies: (1) no two decisions overlap in both time and address space (memory stomping);
-  // (2) every decision fits inside the pool. Aborts with a diagnostic on violation.
+  // Verifies: (1) every decision's padded_size is PlanPaddedSize(event.size); (2) no two
+  // decisions overlap in both time and address space (memory stomping); (3) every decision
+  // fits inside the pool. Aborts with a diagnostic on violation.
   void Validate() const;
 
   // As Validate(), but returns false + message instead of aborting (for property tests).
@@ -47,6 +50,12 @@ struct StaticPlan {
 
 // Planning alignment: all planned addresses and padded sizes are multiples of this.
 inline constexpr uint64_t kPlanAlign = 512;
+
+// Pool bytes a request of `size` occupies. Planned and dynamically reused blocks alike are padded
+// to exactly this, so the runtime can release a pool block knowing only its requested size.
+constexpr uint64_t PlanPaddedSize(uint64_t size) {
+  return AlignUp(std::max<uint64_t>(size, 1), kPlanAlign);
+}
 
 }  // namespace stalloc
 

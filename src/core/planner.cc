@@ -54,7 +54,7 @@ StaticPlan GreedyFirstFitPlan(const std::vector<MemoryEvent>& static_events) {
     PlanDecision& d = plan.decisions[p.idx];
     if (p.is_alloc) {
       d.event = static_events[p.idx];
-      d.padded_size = AlignUp(std::max<uint64_t>(d.event.size, 1), kPlanAlign);
+      d.padded_size = PlanPaddedSize(d.event.size);
       auto fit = free_space.FirstFit(d.padded_size);
       STALLOC_CHECK(fit.has_value());
       d.addr = fit->lo;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -16,11 +15,8 @@ STAllocAllocator::STAllocAllocator(SimDevice* device, StaticPlan plan,
     : device_(device),
       plan_(std::move(plan)),
       dyn_space_(std::move(dyn_space)),
-      config_(config) {
-  fallback_ = std::make_unique<CachingAllocator>(device);
-  // Fallback-served blocks are already in our own live_ ledger; the fallback contributes its
-  // segments to our heap snapshots (AppendHeapSegments) but must not snapshot independently.
-  fallback_->SuppressHeapSnapshots();
+      config_(config),
+      fallback_(device) {
   used_.assign(plan_.decisions.size(), false);
 }
 
@@ -49,7 +45,7 @@ bool STAllocAllocator::Init() {
 
 uint64_t STAllocAllocator::ReservedBytes() const {
   const uint64_t pool = pool_base_ != 0 ? plan_.pool_size : 0;
-  return pool + fallback_->ReservedBytes();
+  return pool + fallback_.ReservedBytes();
 }
 
 void STAllocAllocator::EndIteration() {
@@ -76,7 +72,7 @@ std::optional<uint64_t> STAllocAllocator::DoMalloc(uint64_t size, const RequestC
   }
   // Plan mismatch / lack of space / uninitialized pool: the caching fallback keeps training
   // alive (§6, robustness path).
-  auto addr = fallback_->Malloc(size, ctx);
+  auto addr = fallback_.Malloc(size, ctx.stream);
   if (addr.has_value()) {
     breakdown_.fallback_bytes += size;
   }
@@ -100,6 +96,7 @@ std::optional<uint64_t> STAllocAllocator::StaticMalloc(uint64_t size) {
       continue;
     }
     const PlanDecision& d = plan_.decisions[i];
+    STALLOC_DCHECK_EQ(d.padded_size, PlanPaddedSize(size));  // what DoFree releases
     // The plan guarantees no conflict with other *planned* requests, but an earlier mismatch may
     // have left the range occupied (its twin went to the fallback). Guard anyway.
     if (!available_.Covers(d.addr, d.addr + d.padded_size)) {
@@ -107,7 +104,6 @@ std::optional<uint64_t> STAllocAllocator::StaticMalloc(uint64_t size) {
     }
     used_[i] = true;
     available_.Erase(d.addr, d.addr + d.padded_size);
-    pool_live_.emplace(d.addr, d.padded_size);
     ++breakdown_.static_hits;
     breakdown_.static_bytes += size;
     return pool_base_ + d.addr;
@@ -136,7 +132,7 @@ std::optional<uint64_t> STAllocAllocator::DynamicMalloc(uint64_t size, const Req
   }
 
   // A_c = A_a intersect A_i (Eq. 7), then best fit.
-  const uint64_t padded = AlignUp(std::max<uint64_t>(size, 1), kPlanAlign);
+  const uint64_t padded = PlanPaddedSize(size);
   const IntervalSet candidates = available_.Intersect(region_it->second);
   auto fit = candidates.BestFit(padded);
   if (!fit.has_value()) {
@@ -144,23 +140,23 @@ std::optional<uint64_t> STAllocAllocator::DynamicMalloc(uint64_t size, const Req
   }
   const uint64_t addr = fit->lo;
   available_.Erase(addr, addr + padded);
-  pool_live_.emplace(addr, padded);
   ++breakdown_.dynamic_reuse_hits;
   breakdown_.dynamic_reuse_bytes += size;
   return pool_base_ + addr;
 }
 
 void STAllocAllocator::DoFree(uint64_t addr, uint64_t size) {
-  (void)size;
   if (InPool(addr)) {
+    // Static and dynamic hits both occupy PlanPaddedSize(size) bytes of the pool.
     const uint64_t rel = addr - pool_base_;
-    auto it = pool_live_.find(rel);
-    STALLOC_CHECK(it != pool_live_.end(), << "stalloc: free of unknown pool offset " << rel);
-    available_.Insert(rel, rel + it->second);
-    pool_live_.erase(it);
+    const uint64_t padded = PlanPaddedSize(size);
+    STALLOC_CHECK(!available_.Intersects(rel, rel + padded),
+                  << "stalloc: double release of pool range [" << rel << ", " << rel + padded
+                  << ")");
+    available_.Insert(rel, rel + padded);
     return;
   }
-  STALLOC_CHECK(fallback_->Free(addr), << "stalloc: free of unknown address " << addr);
+  fallback_.Free(addr);
 }
 
 void STAllocAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
@@ -171,7 +167,7 @@ void STAllocAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* o
     s.pool = "static-pool";
     out->push_back(std::move(s));
   }
-  fallback_->AppendHeapSegments(out);
+  fallback_.AppendHeapSegments(out);
 }
 
 }  // namespace stalloc

@@ -10,14 +10,17 @@
 //   * dynamic requests -> the Dynamic Allocator (§6.2): intersects the group's pre-vetted
 //     Dynamic Reusable Space A_i with the pool's currently free intervals A_a (Eq. 7) and picks
 //     best-fit; on lack of space it falls back ("lack of space" path);
-//   * anything unexpected -> the embedded caching allocator, guaranteeing robustness.
+//   * anything unexpected -> the embedded caching fallback, guaranteeing robustness.
+//
+// The fallback is a CachingPool (a policy, not a second allocator), so every block is in one
+// ledger: this allocator's. The static pool keeps no block map either: a free recomputes the
+// padded size from the requested size (StaticPlan::Check pins padded_size to PlanPaddedSize).
 
 #ifndef SRC_CORE_STALLOC_ALLOCATOR_H_
 #define SRC_CORE_STALLOC_ALLOCATOR_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -57,18 +60,16 @@ class STAllocAllocator final : public AllocatorBase {
 
   // Reserves the static pool. Returns false when the device cannot provide it (theoretical OOM).
   bool Init();
-  bool initialized() const { return pool_base_ != 0; }
 
   std::string_view name() const override { return "stalloc"; }
   uint64_t ReservedBytes() const override;
-  void EmptyCache() override { fallback_->EmptyCache(); }
+  void EmptyCache() override { fallback_.EmptyCache(); }
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
   // Resets the matcher and the per-layer dynamic counters for the next iteration.
   void EndIteration() override;
 
   const STAllocBreakdown& breakdown() const { return breakdown_; }
   uint64_t pool_size() const { return plan_.pool_size; }
-  const CachingAllocator& fallback() const { return *fallback_; }
 
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
@@ -85,7 +86,7 @@ class STAllocAllocator final : public AllocatorBase {
   StaticPlan plan_;
   DynamicReusableSpace dyn_space_;
   STAllocConfig config_;
-  std::unique_ptr<CachingAllocator> fallback_;
+  CachingPool fallback_;
 
   uint64_t pool_base_ = 0;
   // Matcher state: plan decisions are consumed roughly in order; used_ marks out-of-order hits.
@@ -93,8 +94,6 @@ class STAllocAllocator final : public AllocatorBase {
   std::vector<bool> used_;
   // Currently free intervals of the static pool (A_a of §6.2), pool-relative.
   IntervalSet available_;
-  // Live blocks inside the pool: pool-relative addr -> padded size.
-  std::map<uint64_t, uint64_t> pool_live_;
   // Dynamic matcher: arrival counter per alloc-layer (resets each iteration).
   std::map<LayerId, size_t> layer_counters_;
 

@@ -12,10 +12,7 @@ namespace stalloc {
 VmmAllocator::VmmAllocator(SimDevice* device, VmmConfig config)
     : device_(device), config_(config) {
   if (config_.small_size != 0) {
-    small_pool_ = std::make_unique<CachingAllocator>(device);
-    // Our live_ ledger covers small-pool blocks; the inner pool contributes segments only (see
-    // AppendHeapSegments), never its own snapshots.
-    small_pool_->SuppressHeapSnapshots();
+    small_pool_.emplace(device);
   }
   const uint64_t va_size =
       config_.va_size != 0 ? AlignUp(config_.va_size, config_.granularity)
@@ -42,7 +39,7 @@ uint64_t VmmAllocator::ReservedBytes() const {
 
 std::optional<uint64_t> VmmAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
   if (IsSmall(size)) {
-    return small_pool_->Malloc(size, ctx);
+    return small_pool_->Malloc(size, ctx.stream);
   }
   const uint64_t rounded = AlignUp(size, SimDevice::kMallocAlign);
   auto off = LargeMalloc(rounded);
@@ -54,7 +51,7 @@ std::optional<uint64_t> VmmAllocator::DoMalloc(uint64_t size, const RequestConte
 
 void VmmAllocator::DoFree(uint64_t addr, uint64_t size) {
   if (IsSmall(size)) {
-    STALLOC_CHECK(small_pool_->Free(addr));
+    small_pool_->Free(addr);
     return;
   }
   const uint64_t off = addr - va_->base();

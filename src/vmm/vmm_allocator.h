@@ -43,7 +43,7 @@ struct VmmConfig {
   // VA reservation size; 0 = 2x device capacity rounded up to the granularity (headroom for
   // virtual fragmentation without a second reservation).
   uint64_t va_size = 0;
-  // Requests <= small_size go to a nested caching small pool (0 disables the small pool).
+  // Requests <= small_size go to an embedded caching small pool (0 disables the small pool).
   uint64_t small_size = 1 * MiB;
   // Allow remapping idle pages under pressure (the remap-based compaction). Off = behave like
   // a plain lazy-mapping allocator that can only create fresh handles.
@@ -109,7 +109,7 @@ class VmmAllocator : public AllocatorBase {
 
   SimDevice* device_;
   VmmConfig config_;
-  std::unique_ptr<CachingAllocator> small_pool_;  // may be null (small_size == 0)
+  std::optional<CachingPool> small_pool_;  // empty when small_size == 0
   std::unique_ptr<VaSpace> va_;
   std::unique_ptr<PhysHandlePool> pool_;
   std::map<uint64_t, Block> blocks_;  // offset -> block, covering [0, va_size)

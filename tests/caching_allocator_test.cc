@@ -18,17 +18,17 @@ class CachingAllocatorTest : public ::testing::Test {
 };
 
 TEST_F(CachingAllocatorTest, RoundSizeMatchesPyTorchRule) {
-  EXPECT_EQ(alloc_.RoundSize(1), 512u);
-  EXPECT_EQ(alloc_.RoundSize(512), 512u);
-  EXPECT_EQ(alloc_.RoundSize(513), 1024u);
-  EXPECT_EQ(alloc_.RoundSize(1 * MiB), 1 * MiB);
+  EXPECT_EQ(alloc_.pool().RoundSize(1), 512u);
+  EXPECT_EQ(alloc_.pool().RoundSize(512), 512u);
+  EXPECT_EQ(alloc_.pool().RoundSize(513), 1024u);
+  EXPECT_EQ(alloc_.pool().RoundSize(1 * MiB), 1 * MiB);
 }
 
 TEST_F(CachingAllocatorTest, SmallRequestReservesSmallBuffer) {
   auto a = alloc_.Malloc(4 * KiB);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(alloc_.ReservedBytes(), 2 * MiB);  // kSmallBuffer segment
-  EXPECT_EQ(alloc_.num_segments(), 1u);
+  EXPECT_EQ(alloc_.pool().num_segments(), 1u);
 }
 
 TEST_F(CachingAllocatorTest, MidRequestReservesLargeBuffer) {
@@ -50,7 +50,7 @@ TEST_F(CachingAllocatorTest, FreedBlockIsReused) {
   auto b = alloc_.Malloc(4 * MiB);
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(*a, *b);
-  EXPECT_EQ(alloc_.num_segments(), 1u);  // no new segment
+  EXPECT_EQ(alloc_.pool().num_segments(), 1u);  // no new segment
 }
 
 TEST_F(CachingAllocatorTest, SmallAllocationsPackIntoOneSegment) {
@@ -85,7 +85,7 @@ TEST_F(CachingAllocatorTest, CoalescingMergesNeighbours) {
   auto b = alloc_.Malloc(4 * MiB);
   auto c = alloc_.Malloc(4 * MiB);
   ASSERT_TRUE(a.has_value() && b.has_value() && c.has_value());
-  EXPECT_EQ(alloc_.num_segments(), 1u);
+  EXPECT_EQ(alloc_.pool().num_segments(), 1u);
   alloc_.Free(*a);
   alloc_.Free(*c);
   alloc_.Free(*b);  // merges a+b+c (+ tail) back into one block
@@ -93,7 +93,7 @@ TEST_F(CachingAllocatorTest, CoalescingMergesNeighbours) {
   auto d = alloc_.Malloc(16 * MiB);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, *a);
-  EXPECT_EQ(alloc_.num_segments(), 1u);
+  EXPECT_EQ(alloc_.pool().num_segments(), 1u);
 }
 
 TEST_F(CachingAllocatorTest, EmptyCacheReleasesFreeSegments) {

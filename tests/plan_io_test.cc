@@ -146,6 +146,12 @@ TEST(PlanIo, PlanFailingCheckIsAnError) {
   // Both blocks at address 0 while live together on [5, 10).
   const std::string overlapping = "1,0,4096,4096,5,15,0,1,0,-1,-1,0\n";
   ExpectRejected(SmallPlanCsv("", kHeader, kRowA + overlapping), "invalid static plan");
+  // padded_size below size: at replay the block would spill past its planned range. The
+  // runtime releases a pool block by recomputing its padding, so any other padding is invalid.
+  ExpectRejected(SmallPlanCsv("", kHeader, "0,0,512,4096,0,10,0,1,0,-1,-1,0\n"),
+                 "has padded_size 512, expected 4096");
+  ExpectRejected(SmallPlanCsv("", kHeader, "0,0,8192,4096,0,10,0,1,0,-1,-1,0\n"),
+                 "has padded_size 8192, expected 4096");
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Tests for src/telemetry/: the metrics registry, the span tracer (ring semantics, JSON
-// escaping, concurrent emission — run under TSan in CI), the OOM flight recorder, and the two
+// escaping, concurrent emission — run under TSan in CI), the OOM flight recorder, and the three
 // cross-cutting contracts the layer must keep:
 //   * unified latency arming — latency histograms fill whenever telemetry is on, hook or not;
 //   * determinism — tracing ON leaves ClusterResult::Digest() bit-identical (the serial golden
-//     digest pinned in sharded_fleet_test must reproduce with spans flowing).
+//     digest pinned in sharded_fleet_test must reproduce with spans flowing);
+//   * one ledger per allocator — an op served by an embedded caching pool is counted, timed and
+//     OOM-reported once, under the allocator that was called.
 
 #include <cstdint>
 #include <memory>
@@ -21,6 +23,7 @@
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/fleet.h"
 #include "src/common/units.h"
+#include "src/core/stalloc_allocator.h"
 #include "src/gpu/sim_device.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
@@ -289,43 +292,70 @@ TEST_F(TelemetryTest, SessionClusterTraceCoversSubsystems) {
 
 // === OOM flight recorder ===
 
+// Every registry kind with a factory, plus "stalloc": an STAllocAllocator over an empty plan,
+// so every op takes its caching fallback. Small requests reach the embedded caching pool of
+// gmlake, torch-expandable, vmm and stalloc, which must not count or report anything itself.
+std::vector<std::string> KindsUnderTest() {
+  std::vector<std::string> kinds =
+      AllocatorRegistry::Global().Names(/*include_plan_kinds=*/false);
+  kinds.push_back("stalloc");
+  return kinds;
+}
+
+std::unique_ptr<Allocator> MakeAllocator(const std::string& kind, SimDevice* device) {
+  if (kind != "stalloc") {
+    return AllocatorRegistry::Global().Create(kind, device);
+  }
+  auto alloc = std::make_unique<STAllocAllocator>(device, StaticPlan{}, DynamicReusableSpace{});
+  EXPECT_TRUE(alloc->Init());
+  return alloc;
+}
+
 TEST_F(TelemetryTest, FlightRecorderCapturesOomPostMortem) {
-  telemetry::SetEnabled(true);
-  SimDevice device(64 * MiB);
-  std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create("torch-caching", &device);
-  ASSERT_NE(alloc, nullptr);
+  constexpr uint64_t kSmall = 4 * KiB;
+  for (const std::string& kind : KindsUnderTest()) {
+    SCOPED_TRACE(kind);
+    ResetAll();
+    telemetry::SetEnabled(true);
+    SimDevice device(4 * MiB);
+    std::unique_ptr<Allocator> alloc = MakeAllocator(kind, &device);
+    ASSERT_NE(alloc, nullptr);
 
-  // Enough traffic to wrap the 64-op flight ring, then a malloc that cannot fit.
-  std::vector<uint64_t> addrs;
-  for (int i = 0; i < 50; ++i) {
-    auto addr = alloc->Malloc(1024);
-    ASSERT_TRUE(addr.has_value());
-    addrs.push_back(*addr);
-  }
-  for (uint64_t addr : addrs) {
-    ASSERT_TRUE(alloc->Free(addr));
-  }
-  EXPECT_FALSE(alloc->Malloc(256 * MiB).has_value());
+    // Enough traffic to wrap the 64-op flight ring, then small mallocs until the device is full.
+    for (int i = 0; i < 50; ++i) {
+      auto addr = alloc->Malloc(kSmall);
+      ASSERT_TRUE(addr.has_value());
+      ASSERT_TRUE(alloc->Free(*addr));
+    }
+    uint64_t live = 0;
+    while (alloc->Malloc(kSmall).has_value()) {
+      ++live;
+      ASSERT_LE(live, 4 * MiB / kSmall) << "a 4 MiB device never filled up";
+    }
+    ASSERT_GT(live, 0u);
 
-  ASSERT_EQ(FlightRecorder::Global().pending(), 1u);
-  std::vector<telemetry::OomReport> reports = FlightRecorder::Global().Drain();
-  ASSERT_EQ(reports.size(), 1u);
-  const telemetry::OomReport& r = reports[0];
-  EXPECT_EQ(r.allocator, alloc->name());
-  EXPECT_EQ(r.failed_size, 256 * MiB);
-  EXPECT_EQ(r.num_mallocs, 51u);  // the failing attempt counts
-  EXPECT_EQ(r.num_frees, 50u);
-  EXPECT_EQ(r.num_oom, 1u);
-  EXPECT_EQ(r.allocated, 0u);  // everything freed before the failing malloc
-  ASSERT_FALSE(r.recent.empty());
-  EXPECT_LE(r.recent.size(), telemetry::FlightRing::kDefaultCapacity);
-  // The ring holds the newest window: the tail op is the OOM itself, preceded by frees.
-  EXPECT_EQ(r.recent.back().kind, FlightOp::Kind::kOom);
-  EXPECT_EQ(r.recent.back().size, 256 * MiB);
-  EXPECT_EQ(r.recent[r.recent.size() - 2].kind, FlightOp::Kind::kFree);
-  // Drained means drained.
-  EXPECT_EQ(FlightRecorder::Global().pending(), 0u);
-  EXPECT_TRUE(FlightRecorder::Global().Drain().empty());
+    // One failed malloc files exactly one report, under the allocator that was called.
+    ASSERT_EQ(FlightRecorder::Global().pending(), 1u);
+    EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.oom_events")->value(), 1u);
+    std::vector<telemetry::OomReport> reports = FlightRecorder::Global().Drain();
+    ASSERT_EQ(reports.size(), 1u);
+    const telemetry::OomReport& r = reports[0];
+    EXPECT_EQ(r.allocator, alloc->name());
+    EXPECT_EQ(r.failed_size, kSmall);
+    EXPECT_EQ(r.num_mallocs, 50 + live + 1);  // the failing attempt counts
+    EXPECT_EQ(r.num_frees, 50u);
+    EXPECT_EQ(r.num_oom, 1u);
+    EXPECT_EQ(r.allocated, live * kSmall);
+    ASSERT_GE(r.recent.size(), 2u);
+    EXPECT_LE(r.recent.size(), telemetry::FlightRing::kDefaultCapacity);
+    // The ring holds the newest window: the tail op is the OOM itself, preceded by a malloc.
+    EXPECT_EQ(r.recent.back().kind, FlightOp::Kind::kOom);
+    EXPECT_EQ(r.recent.back().size, kSmall);
+    EXPECT_EQ(r.recent[r.recent.size() - 2].kind, FlightOp::Kind::kMalloc);
+    // Drained means drained.
+    EXPECT_EQ(FlightRecorder::Global().pending(), 0u);
+    EXPECT_TRUE(FlightRecorder::Global().Drain().empty());
+  }
 }
 
 #endif  // STALLOC_TELEMETRY
@@ -351,32 +381,36 @@ TEST_F(TelemetryTest, FlightRecorderEvictsPastLimit) {
 #if STALLOC_TELEMETRY
 
 TEST_F(TelemetryTest, LatencyHistogramsFillWithoutAHook) {
-  telemetry::SetEnabled(true);
-  SimDevice device(64 * MiB);
-  std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create("torch-caching", &device);
-  ASSERT_NE(alloc, nullptr);
+  constexpr uint64_t kOps = 32;
+  constexpr uint64_t kSmall = 4 * KiB;
+  for (const std::string& kind : KindsUnderTest()) {
+    SCOPED_TRACE(kind);
+    ResetAll();
+    telemetry::SetEnabled(true);
+    SimDevice device(256 * MiB);
+    std::unique_ptr<Allocator> alloc = MakeAllocator(kind, &device);
+    ASSERT_NE(alloc, nullptr);
 
-  constexpr int kOps = 32;
-  std::vector<uint64_t> addrs;
-  for (int i = 0; i < kOps; ++i) {
-    addrs.push_back(alloc->Malloc(4096).value());
-  }
-  for (uint64_t addr : addrs) {
-    ASSERT_TRUE(alloc->Free(addr));
-  }
+    std::vector<uint64_t> addrs;
+    for (uint64_t i = 0; i < kOps; ++i) {
+      addrs.push_back(alloc->Malloc(kSmall).value());
+    }
+    for (uint64_t addr : addrs) {
+      ASSERT_TRUE(alloc->Free(addr));
+    }
 
-  // The per-allocator stats latency accumulators armed without a hook...
-  EXPECT_GT(alloc->stats().malloc_latency_us, 0.0);
-  EXPECT_GT(alloc->stats().free_latency_us, 0.0);
-  // ...and the registry histograms saw exactly the same ops.
-  EXPECT_EQ(MetricsRegistry::Global().GetHistogram("alloc.malloc_latency_us")->count(),
-            static_cast<uint64_t>(kOps));
-  EXPECT_EQ(MetricsRegistry::Global().GetHistogram("alloc.free_latency_us")->count(),
-            static_cast<uint64_t>(kOps));
-  EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.mallocs")->value(),
-            static_cast<uint64_t>(kOps));
-  EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.bytes_allocated")->value(),
-            static_cast<uint64_t>(kOps) * 4096);
+    // The per-allocator stats latency accumulators armed without a hook...
+    EXPECT_GT(alloc->stats().malloc_latency_us, 0.0);
+    EXPECT_GT(alloc->stats().free_latency_us, 0.0);
+    // ...and the registry saw exactly the same ops, once each: a nested pool adds nothing.
+    auto& registry = MetricsRegistry::Global();
+    EXPECT_EQ(registry.GetHistogram("alloc.malloc_latency_us")->count(), kOps);
+    EXPECT_EQ(registry.GetHistogram("alloc.free_latency_us")->count(), kOps);
+    EXPECT_EQ(registry.GetCounter("alloc.mallocs")->value(), kOps);
+    EXPECT_EQ(registry.GetCounter("alloc.frees")->value(), kOps);
+    EXPECT_EQ(registry.GetCounter("alloc.bytes_allocated")->value(), kOps * kSmall);
+    EXPECT_EQ(registry.GetCounter("alloc.bytes_freed")->value(), kOps * kSmall);
+  }
 }
 
 #endif  // STALLOC_TELEMETRY
