@@ -97,7 +97,7 @@ class PlacementCapture : public ReplayObserver {
     PlanDecision d;
     d.event = *op.event;
     d.addr = addr;
-    d.padded_size = AlignUp(op.event->size, kPlanAlign);
+    d.padded_size = PlanPaddedSize(op.event->size);
     decisions_.push_back(d);
   }
 

@@ -237,6 +237,22 @@ void AllocatorBase::RecordTelemetryOom(uint64_t size) {
   }
 }
 
+void AllocatorBase::RecordEmptyCache(uint64_t released) {
+  if (!telemetry::Enabled()) {
+    return;
+  }
+  auto& registry = telemetry::MetricsRegistry::Global();
+  static telemetry::Counter* empties = registry.GetCounter("alloc.empty_cache_calls");
+  empties->Add();
+  static telemetry::Counter* bytes = registry.GetCounter("alloc.empty_cache_bytes");
+  bytes->Add(released);
+  auto& tracer = telemetry::Tracer::Global();
+  Json args = Json::Object();
+  args.Set("released", released);
+  tracer.ThreadTrack()->Instant("empty_cache", telemetry::kCatAlloc, tracer.NowUs(),
+                                std::move(args));
+}
+
 void AllocatorBase::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
   for (const auto& [addr, size] : live_) {
     telemetry::HeapSegment seg;

@@ -167,6 +167,11 @@ class AllocatorBase : public Allocator {
   // Refreshes the reserved-bytes peak; call after any operation that changes reservations.
   void NotePressure();
 
+  // Emits one EmptyCache of a caching pool that returned `released` bytes to the device
+  // (alloc.empty_cache_* counters plus an `empty_cache` instant; no-op with telemetry off).
+  // The owner calls it, since an embedded CachingPool emits nothing itself.
+  static void RecordEmptyCache(uint64_t released);
+
  private:
   AllocatorSnapshot Snapshot() const {
     AllocatorSnapshot s;

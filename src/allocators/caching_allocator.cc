@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "src/common/check.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/telemetry.h"
-#include "src/telemetry/tracer.h"
 
 namespace stalloc {
 
@@ -218,23 +216,6 @@ uint64_t CachingPool::EmptyCache() {
     released += seg.size;
   }
   return released;
-}
-
-void CachingAllocator::EmptyCache() {
-  const uint64_t released = pool_.EmptyCache();
-  if (telemetry::Enabled()) {
-    static telemetry::Counter* empties =
-        telemetry::MetricsRegistry::Global().GetCounter("alloc.empty_cache_calls");
-    empties->Add();
-    static telemetry::Counter* bytes =
-        telemetry::MetricsRegistry::Global().GetCounter("alloc.empty_cache_bytes");
-    bytes->Add(released);
-    auto& tracer = telemetry::Tracer::Global();
-    Json args = Json::Object();
-    args.Set("released", released);
-    tracer.ThreadTrack()->Instant("empty_cache", telemetry::kCatAlloc, tracer.NowUs(),
-                                  std::move(args));
-  }
 }
 
 uint64_t CachingPool::cached_free_bytes() const {

@@ -138,7 +138,7 @@ class CachingAllocator final : public AllocatorBase {
 
   std::string_view name() const override { return "torch-caching"; }
   uint64_t ReservedBytes() const override { return pool_.ReservedBytes(); }
-  void EmptyCache() override;
+  void EmptyCache() override { RecordEmptyCache(pool_.EmptyCache()); }
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override {
     pool_.AppendHeapSegments(out);
   }

@@ -140,7 +140,7 @@ bool ExpandableSegmentsAllocator::Grow(StreamSegment& seg, uint64_t bytes) {
       // Device OOM: let the small pool return cached segments and *other* streams trim, then
       // retry once. The growing segment itself must not be trimmed — its frontier is the very
       // region being extended.
-      small_pool_.EmptyCache();
+      RecordEmptyCache(small_pool_.EmptyCache());
       for (auto& [stream, other] : streams_) {
         if (&other == &seg) {
           continue;
@@ -252,7 +252,7 @@ void ExpandableSegmentsAllocator::TrimTail(StreamSegment& seg) {
 }
 
 void ExpandableSegmentsAllocator::EmptyCache() {
-  small_pool_.EmptyCache();
+  RecordEmptyCache(small_pool_.EmptyCache());
   const uint64_t saved = config_.trim_threshold;
   config_.trim_threshold = 1;
   for (auto& [stream, seg] : streams_) {

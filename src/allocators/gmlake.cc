@@ -302,7 +302,7 @@ uint64_t GMLakeAllocator::ReleaseCachedSegments() {
 }
 
 void GMLakeAllocator::EmptyCache() {
-  small_pool_.EmptyCache();
+  RecordEmptyCache(small_pool_.EmptyCache());
   ReleaseCachedSegments();
 }
 

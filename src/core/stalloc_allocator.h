@@ -63,7 +63,7 @@ class STAllocAllocator final : public AllocatorBase {
 
   std::string_view name() const override { return "stalloc"; }
   uint64_t ReservedBytes() const override;
-  void EmptyCache() override { fallback_.EmptyCache(); }
+  void EmptyCache() override { RecordEmptyCache(fallback_.EmptyCache()); }
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
   // Resets the matcher and the per-layer dynamic counters for the next iteration.
   void EndIteration() override;

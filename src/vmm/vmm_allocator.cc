@@ -10,10 +10,7 @@
 namespace stalloc {
 
 VmmAllocator::VmmAllocator(SimDevice* device, VmmConfig config)
-    : device_(device), config_(config) {
-  if (config_.small_size != 0) {
-    small_pool_.emplace(device);
-  }
+    : device_(device), config_(config), small_pool_(device) {
   const uint64_t va_size =
       config_.va_size != 0 ? AlignUp(config_.va_size, config_.granularity)
                            : AlignUp(2 * device_->capacity(), config_.granularity);
@@ -33,13 +30,12 @@ VmmAllocator::VmmAllocator(SimDevice* device, VmmConfig config)
 VmmAllocator::~VmmAllocator() = default;
 
 uint64_t VmmAllocator::ReservedBytes() const {
-  return va_->mapped_bytes() + pool_->cached_bytes() +
-         (small_pool_ ? small_pool_->ReservedBytes() : 0);
+  return va_->mapped_bytes() + pool_->cached_bytes() + small_pool_.ReservedBytes();
 }
 
 std::optional<uint64_t> VmmAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
   if (IsSmall(size)) {
-    return small_pool_->Malloc(size, ctx.stream);
+    return small_pool_.Malloc(size, ctx.stream);
   }
   const uint64_t rounded = AlignUp(size, SimDevice::kMallocAlign);
   auto off = LargeMalloc(rounded);
@@ -51,7 +47,7 @@ std::optional<uint64_t> VmmAllocator::DoMalloc(uint64_t size, const RequestConte
 
 void VmmAllocator::DoFree(uint64_t addr, uint64_t size) {
   if (IsSmall(size)) {
-    small_pool_->Free(addr);
+    small_pool_.Free(addr);
     return;
   }
   const uint64_t off = addr - va_->base();
@@ -151,9 +147,7 @@ std::optional<MemHandle> VmmAllocator::AcquireUnderPressure(bool* remapped) {
     }
   }
   // No idle page either: return cached memory to the device and retry the create once.
-  if (small_pool_) {
-    small_pool_->EmptyCache();
-  }
+  RecordEmptyCache(small_pool_.EmptyCache());
   return pool_->Acquire();
 }
 
@@ -214,9 +208,7 @@ void VmmAllocator::ReleaseIdlePages() {
 }
 
 void VmmAllocator::EmptyCache() {
-  if (small_pool_) {
-    small_pool_->EmptyCache();
-  }
+  RecordEmptyCache(small_pool_.EmptyCache());
   ReleaseIdlePages();
   pool_->Trim();
 }
@@ -241,9 +233,7 @@ void VmmAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) 
     s.pool = "vmm";
     out->push_back(std::move(s));
   }
-  if (small_pool_) {
-    small_pool_->AppendHeapSegments(out);
-  }
+  small_pool_.AppendHeapSegments(out);
 }
 
 }  // namespace stalloc

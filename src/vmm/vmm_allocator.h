@@ -109,7 +109,7 @@ class VmmAllocator : public AllocatorBase {
 
   SimDevice* device_;
   VmmConfig config_;
-  std::optional<CachingPool> small_pool_;  // empty when small_size == 0
+  CachingPool small_pool_;  // requests <= small_size; unused when small_size == 0
   std::unique_ptr<VaSpace> va_;
   std::unique_ptr<PhysHandlePool> pool_;
   std::map<uint64_t, Block> blocks_;  // offset -> block, covering [0, va_size)

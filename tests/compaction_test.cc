@@ -21,7 +21,7 @@ PlanDecision Dec(uint64_t id, uint64_t size, LogicalTime ts, LogicalTime te, uin
   d.event.ts = ts;
   d.event.te = te;
   d.addr = addr;
-  d.padded_size = AlignUp(size, kPlanAlign);
+  d.padded_size = PlanPaddedSize(size);
   return d;
 }
 
@@ -70,7 +70,7 @@ TEST(Compaction, NeverIncreasesPool) {
     const uint64_t size = 512 * (1 + rng.NextBelow(16));
     // Stack everything disjointly in address space (valid but wasteful).
     plan.decisions.push_back(Dec(i, size, ts, ts + 1 + rng.NextBelow(100), top));
-    top += AlignUp(size, kPlanAlign);
+    top += PlanPaddedSize(size);
   }
   plan.pool_size = top;
   plan.Validate();

@@ -12,11 +12,13 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/allocators/allocator.h"
+#include "src/allocators/caching_allocator.h"
 #include "src/allocators/registry.h"
 #include "src/api/session.h"
 #include "src/api/spec.h"
@@ -311,50 +313,83 @@ std::unique_ptr<Allocator> MakeAllocator(const std::string& kind, SimDevice* dev
   return alloc;
 }
 
+// Drains the flight recorder, which must hold exactly one report, filed by `alloc` itself.
+void DrainOneReport(const Allocator& alloc, telemetry::OomReport* out) {
+  ASSERT_EQ(FlightRecorder::Global().pending(), 1u);
+  EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.oom_events")->value(), 1u);
+  std::vector<telemetry::OomReport> reports = FlightRecorder::Global().Drain();
+  ASSERT_EQ(reports.size(), 1u);
+  *out = std::move(reports[0]);
+  EXPECT_EQ(out->allocator, alloc.name());
+  EXPECT_EQ(out->num_oom, 1u);
+  ASSERT_GE(out->recent.size(), 2u);
+  EXPECT_LE(out->recent.size(), telemetry::FlightRing::kDefaultCapacity);
+  // The ring holds the newest window: the tail op is the OOM itself.
+  EXPECT_EQ(out->recent.back().kind, FlightOp::Kind::kOom);
+  EXPECT_EQ(out->recent.back().size, out->failed_size);
+  // Drained means drained.
+  EXPECT_EQ(FlightRecorder::Global().pending(), 0u);
+  EXPECT_TRUE(FlightRecorder::Global().Drain().empty());
+}
+
 TEST_F(TelemetryTest, FlightRecorderCapturesOomPostMortem) {
-  constexpr uint64_t kSmall = 4 * KiB;
   for (const std::string& kind : KindsUnderTest()) {
     SCOPED_TRACE(kind);
-    ResetAll();
-    telemetry::SetEnabled(true);
-    SimDevice device(4 * MiB);
-    std::unique_ptr<Allocator> alloc = MakeAllocator(kind, &device);
-    ASSERT_NE(alloc, nullptr);
+    {
+      // Enough traffic to wrap the 64-op flight ring, everything freed, then a malloc that
+      // cannot fit. 256 MiB holds paged-kv's 50 live 2 MiB blocks.
+      ResetAll();
+      telemetry::SetEnabled(true);
+      SimDevice device(256 * MiB);
+      std::unique_ptr<Allocator> alloc = MakeAllocator(kind, &device);
+      ASSERT_NE(alloc, nullptr);
+      std::vector<uint64_t> addrs;
+      for (int i = 0; i < 50; ++i) {
+        auto addr = alloc->Malloc(1024);
+        ASSERT_TRUE(addr.has_value());
+        addrs.push_back(*addr);
+      }
+      for (uint64_t addr : addrs) {
+        ASSERT_TRUE(alloc->Free(addr));
+      }
+      EXPECT_FALSE(alloc->Malloc(1 * GiB).has_value());
 
-    // Enough traffic to wrap the 64-op flight ring, then small mallocs until the device is full.
-    for (int i = 0; i < 50; ++i) {
-      auto addr = alloc->Malloc(kSmall);
-      ASSERT_TRUE(addr.has_value());
-      ASSERT_TRUE(alloc->Free(*addr));
+      telemetry::OomReport r;
+      ASSERT_NO_FATAL_FAILURE(DrainOneReport(*alloc, &r));
+      EXPECT_EQ(r.failed_size, 1 * GiB);
+      EXPECT_EQ(r.num_mallocs, 51u);  // the failing attempt counts
+      EXPECT_EQ(r.num_frees, 50u);
+      EXPECT_EQ(r.allocated, 0u);  // everything freed before the failing malloc
+      EXPECT_EQ(r.recent[r.recent.size() - 2].kind, FlightOp::Kind::kFree);
     }
-    uint64_t live = 0;
-    while (alloc->Malloc(kSmall).has_value()) {
-      ++live;
-      ASSERT_LE(live, 4 * MiB / kSmall) << "a 4 MiB device never filled up";
-    }
-    ASSERT_GT(live, 0u);
+    {
+      // Small mallocs until the device is full: the failure comes from the embedded pool.
+      constexpr uint64_t kSmall = 4 * KiB;
+      ResetAll();
+      telemetry::SetEnabled(true);
+      SimDevice device(4 * MiB);
+      std::unique_ptr<Allocator> alloc = MakeAllocator(kind, &device);
+      ASSERT_NE(alloc, nullptr);
+      for (int i = 0; i < 50; ++i) {
+        auto addr = alloc->Malloc(kSmall);
+        ASSERT_TRUE(addr.has_value());
+        ASSERT_TRUE(alloc->Free(*addr));
+      }
+      uint64_t live = 0;
+      while (alloc->Malloc(kSmall).has_value()) {
+        ++live;
+        ASSERT_LE(live, 4 * MiB / kSmall) << "a 4 MiB device never filled up";
+      }
+      ASSERT_GT(live, 0u);
 
-    // One failed malloc files exactly one report, under the allocator that was called.
-    ASSERT_EQ(FlightRecorder::Global().pending(), 1u);
-    EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.oom_events")->value(), 1u);
-    std::vector<telemetry::OomReport> reports = FlightRecorder::Global().Drain();
-    ASSERT_EQ(reports.size(), 1u);
-    const telemetry::OomReport& r = reports[0];
-    EXPECT_EQ(r.allocator, alloc->name());
-    EXPECT_EQ(r.failed_size, kSmall);
-    EXPECT_EQ(r.num_mallocs, 50 + live + 1);  // the failing attempt counts
-    EXPECT_EQ(r.num_frees, 50u);
-    EXPECT_EQ(r.num_oom, 1u);
-    EXPECT_EQ(r.allocated, live * kSmall);
-    ASSERT_GE(r.recent.size(), 2u);
-    EXPECT_LE(r.recent.size(), telemetry::FlightRing::kDefaultCapacity);
-    // The ring holds the newest window: the tail op is the OOM itself, preceded by a malloc.
-    EXPECT_EQ(r.recent.back().kind, FlightOp::Kind::kOom);
-    EXPECT_EQ(r.recent.back().size, kSmall);
-    EXPECT_EQ(r.recent[r.recent.size() - 2].kind, FlightOp::Kind::kMalloc);
-    // Drained means drained.
-    EXPECT_EQ(FlightRecorder::Global().pending(), 0u);
-    EXPECT_TRUE(FlightRecorder::Global().Drain().empty());
+      telemetry::OomReport r;
+      ASSERT_NO_FATAL_FAILURE(DrainOneReport(*alloc, &r));
+      EXPECT_EQ(r.failed_size, kSmall);
+      EXPECT_EQ(r.num_mallocs, 50 + live + 1);
+      EXPECT_EQ(r.num_frees, 50u);
+      EXPECT_EQ(r.allocated, live * kSmall);
+      EXPECT_EQ(r.recent[r.recent.size() - 2].kind, FlightOp::Kind::kMalloc);
+    }
   }
 }
 
@@ -410,6 +445,14 @@ TEST_F(TelemetryTest, LatencyHistogramsFillWithoutAHook) {
     EXPECT_EQ(registry.GetCounter("alloc.frees")->value(), kOps);
     EXPECT_EQ(registry.GetCounter("alloc.bytes_allocated")->value(), kOps * kSmall);
     EXPECT_EQ(registry.GetCounter("alloc.bytes_freed")->value(), kOps * kSmall);
+
+    // EmptyCache is reported by the allocator that owns the caching pool, once, with the
+    // small segment the 4 KiB blocks were carved from. native and paged-kv have no such pool.
+    alloc->EmptyCache();
+    const bool pooled = kind != "native" && kind != "paged-kv";
+    EXPECT_EQ(registry.GetCounter("alloc.empty_cache_calls")->value(), pooled ? 1u : 0u);
+    EXPECT_EQ(registry.GetCounter("alloc.empty_cache_bytes")->value(),
+              pooled ? CachingAllocatorConfig{}.small_buffer : 0u);
   }
 }
 
