@@ -48,13 +48,12 @@ int main() {
     opt.capacity_bytes = usable;
     // Aggregate across the boundary ranks by job semantics: the job OOMs/thrashes if any rank
     // does, and its memory footprint is the worst rank's reservation.
-    auto run_job = [&](std::string_view kind) {
+    auto run_job = [&](const std::string& kind) {
       ExperimentResult job;
       bool first = true;
       for (int rank : BoundaryRanks(c.parallel)) {
         c.rank = rank;
-        WorkloadBuilder wb(Llama2_7B(), c);
-        ExperimentResult r = RunExperiment(wb, kind, opt);
+        ExperimentResult r = RunRank("llama2-7b", c, kind, opt);
         if (first) {
           job = r;
           first = false;

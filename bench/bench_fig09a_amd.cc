@@ -15,14 +15,14 @@ int main() {
 
   struct Case {
     const char* name;
-    ModelConfig model;
+    const char* model;  // preset name
     ParallelConfig parallel;
     int gpus;
   };
   const Case cases[] = {
-      {"Llama2-7B / 32 GPUs", Llama2_7B(), {/*tp=*/4, /*pp=*/2, /*dp=*/4, /*ep=*/1, /*vpp=*/1},
+      {"Llama2-7B / 32 GPUs", "llama2-7b", {/*tp=*/4, /*pp=*/2, /*dp=*/4, /*ep=*/1, /*vpp=*/1},
        32},
-      {"Qwen1.5-MoE / 64 GPUs", Qwen15_MoE_A27B(),
+      {"Qwen1.5-MoE / 64 GPUs", "qwen1.5-moe",
        {/*tp=*/2, /*pp=*/2, /*dp=*/16, /*ep=*/4, /*vpp=*/1}, 64},
   };
 

@@ -27,7 +27,7 @@ int main() {
     for (const std::string& kind : PaperAllocators()) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
-      row.push_back(EffCell(RunWorstRank(Gpt2_345M(), c, kind, opt)));
+      row.push_back(EffCell(RunWorstRank("gpt2", c, kind, opt)));
     }
     table.AddRow(row);
   }

@@ -90,7 +90,7 @@ void PrintThroughputTable(const char* title, double pressure_factor) {
     base.opt.recompute = RecomputeMode::kFull;
     base.opt.zero = ZeroStage::kStage1;
     const uint64_t mb =
-        MaxFeasibleMicrobatch(c.model, base, "torch-caching", kA800Capacity);
+        MaxFeasibleMicrobatch(c.model.name, base, "torch-caching", kA800Capacity);
     base.micro_batch_size = std::max<uint64_t>(1, mb);
 
     // Under the pressure scenario, shrink the device to sit just above STAlloc's reservation
@@ -100,8 +100,7 @@ void PrintThroughputTable(const char* title, double pressure_factor) {
     if (pressure_factor > 0) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
-      WorkloadBuilder wb(c.model, base);
-      ExperimentResult st = RunExperiment(wb, "stalloc", opt);
+      ExperimentResult st = RunRank(c.model.name, base, "stalloc", opt);
       capacity = static_cast<uint64_t>(static_cast<double>(st.reserved_peak) * pressure_factor);
       penalty_us = 5000;  // conservative vs the ~30 ms/op the paper measures
     }

@@ -22,11 +22,12 @@ int main() {
   TrainConfig base;
   base.parallel = {/*tp=*/1, /*pp=*/2, /*dp=*/4, /*ep=*/4, /*vpp=*/1};
   base.num_microbatches = 8;
-  const ModelConfig model = Qwen15_MoE_A27B();
+  const std::string preset = "qwen1.5-moe";
+  const ModelConfig model = ModelByName(preset);
 
   TrainConfig probe = ApplyConfigTag(base, "V");
   probe.opt.zero = ZeroStage::kStage1;
-  const uint64_t mb = MaxFeasibleMicrobatch(model, probe, "torch-caching", kA800Capacity);
+  const uint64_t mb = MaxFeasibleMicrobatch(preset, probe, "torch-caching", kA800Capacity);
 
   std::printf("Fig. 13 — Qwen1.5-MoE-A2.7B memory-efficiency breakdown, microbatch=%llu\n\n",
               static_cast<unsigned long long>(mb));
@@ -39,9 +40,9 @@ int main() {
     c.micro_batch_size = mb;
     ExperimentOptions opt;
     opt.capacity_bytes = kA800Capacity;
-    ExperimentResult caching = RunWorstRank(model, c, "torch-caching", opt);
-    ExperimentResult noreuse = RunWorstRank(model, c, "stalloc-noreuse", opt);
-    ExperimentResult full = RunWorstRank(model, c, "stalloc", opt);
+    ExperimentResult caching = RunWorstRank(preset, c, "torch-caching", opt);
+    ExperimentResult noreuse = RunWorstRank(preset, c, "stalloc-noreuse", opt);
+    ExperimentResult full = RunWorstRank(preset, c, "stalloc", opt);
     fig13.AddRow({tag, EffCell(caching), EffCell(noreuse), EffCell(full)});
 
     auto fallback_bytes = [](const ExperimentResult& r) {

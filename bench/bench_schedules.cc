@@ -40,8 +40,8 @@ int main() {
     const uint64_t peak = PeakAllocated(wb.Build(1));
     ExperimentOptions opt;
     opt.capacity_bytes = kA800Capacity;
-    ExperimentResult torch = RunExperiment(wb, "torch-caching", opt);
-    ExperimentResult st = RunExperiment(wb, "stalloc", opt);
+    ExperimentResult torch = RunRank("gpt2", c, "torch-caching", opt);
+    ExperimentResult st = RunRank("gpt2", c, "stalloc", opt);
     table.AddRow({v.name, FormatBytes(peak), EffCell(torch), EffCell(st)});
   }
   table.Print();

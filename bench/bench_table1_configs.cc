@@ -16,7 +16,8 @@
 int main() {
   using namespace stalloc;
 
-  const ModelConfig model = Qwen25_14B();
+  const std::string preset = "qwen2.5-14b";
+  const ModelConfig model = ModelByName(preset);
 
   struct Row {
     const char* name;
@@ -38,7 +39,7 @@ int main() {
   // Pick the microbatch at the feasibility edge of the *original* config: theoretically fits
   // (native profiling succeeds) but leaves little headroom for fragmentation. Linear search
   // lands exactly at the edge.
-  const uint64_t mb = MaxFeasibleMicrobatch(model, original, "native",
+  const uint64_t mb = MaxFeasibleMicrobatch(preset, original, "native",
                                             kH200Capacity, /*max_mb=*/64, /*linear=*/true);
   const Row rows[] = {{"Original (VPP, TP=2)", original},
                       {"Disable VPP", no_vpp},
@@ -53,8 +54,8 @@ int main() {
     c.micro_batch_size = std::max<uint64_t>(1, mb);
     ExperimentOptions opt;
     opt.capacity_bytes = kH200Capacity;
-    auto mark = [&](std::string_view kind) {
-      ExperimentResult r = RunWorstRank(model, c, kind, opt);
+    auto mark = [&](const std::string& kind) {
+      ExperimentResult r = RunWorstRank(preset, c, kind, opt);
       return std::string(r.oom || r.infeasible ? "OOM" : "ok");
     };
     ThroughputEstimate est = EstimateThroughput(model, c, GpuSpec::H200());

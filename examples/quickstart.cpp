@@ -8,9 +8,10 @@
 #include <cstdio>
 #include <string>
 
+#include "src/api/session.h"
+#include "src/api/spec.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
-#include "src/driver/experiment.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
 
@@ -40,14 +41,19 @@ int main(int argc, char** argv) {
   std::printf("Trace: %zu memory events, theoretical peak (Ma) to be measured per allocator\n\n",
               trace.size());
 
+  // One spec, four allocators: the Session profiles and plans for STAlloc, and replays the
+  // same run-seed iteration through every allocator.
+  ExperimentSpec spec;
+  spec.model = model_name;
+  spec.train = config;
+  spec.allocators = {"torch-caching", "torch-expandable", "gmlake", "stalloc"};
   TextTable table({"allocator", "result", "efficiency", "reserved", "fragmentation"});
-  for (const char* kind : {"torch-caching", "torch-expandable", "gmlake", "stalloc"}) {
-    ExperimentResult r = RunExperiment(workload, kind);
-    const char* status = r.infeasible ? "infeasible" : (r.oom ? "OOM" : "ok");
-    table.AddRow({kind, status,
+  for (const RunRecord& rec : Session().Run(spec)) {
+    const ExperimentResult& r = *rec.train_rank;
+    table.AddRow({rec.allocator, RunStatusName(rec.status),
                   StrFormat("%.1f%%", r.memory_efficiency * 100.0),
                   FormatBytes(r.reserved_peak), FormatBytes(r.fragmentation_bytes)});
-    if (AllocatorRegistry::Global().Find(kind)->requires_plan && !r.oom && !r.infeasible) {
+    if (AllocatorRegistry::Global().Find(rec.allocator)->requires_plan && rec.ok()) {
       std::printf("STAlloc plan: %s\n", r.plan_stats.ToString().c_str());
     }
   }

@@ -2,14 +2,14 @@
 //
 // Every allocator in the tree is selectable by a stable string name ("torch-caching",
 // "gmlake", "stalloc", ...). The registry maps name -> factory over a typed AllocatorOptions
-// bag, so drivers, benches and tools never hard-code a construction switch: a new allocator
+// bag, so the session, benches and tools never hard-code a construction switch: a new allocator
 // kind registers here once and is immediately listable (--list-allocs), parseable (--alloc)
-// and runnable everywhere. The name is the only handle: drivers, the cluster layer, the session
-// API and the C ABI all take it, so an externally registered kind runs wherever a built-in does.
+// and runnable everywhere. The name is the only handle: the session API, the cluster layer and
+// the C ABI all take it, so an externally registered kind runs wherever a built-in does.
 //
 // The STAlloc kinds have registry entries (they must be nameable and listable) but no factory:
-// their construction runs through the offline profile + plan-synthesis pipeline
-// (MakeSTAllocFromProfile in src/driver/experiment.h), which no per-device factory can express.
+// their construction runs through the offline profile + plan-synthesis pipeline (the Session's
+// pipeline in src/api/session.cc), which no per-device factory can express.
 // Entries carry `requires_plan` so callers can route them without special-casing names.
 
 #ifndef SRC_ALLOCATORS_REGISTRY_H_

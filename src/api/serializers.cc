@@ -180,6 +180,7 @@ Json ToJson(const JobOutcome& outcome) {
   Json j = Json::Object();
   j.Set("id", outcome.id);
   j.Set("type", ClusterJobTypeName(outcome.type));
+  j.Set("shape", outcome.shape);
   j.Set("status", JobStatusName(outcome.status));
   j.Set("submit_time", outcome.submit_time);
   j.Set("admit_time", outcome.admit_time);
@@ -323,6 +324,13 @@ Json SpecMetaJson(const ExperimentSpec& spec) {
     j.Set("trace_file", spec.trace_file);
   }
   j.Set("capacity_bytes", spec.options.capacity_bytes);
+  if (!spec.device_capacities.empty()) {
+    Json capacities = Json::Array();
+    for (uint64_t capacity : spec.device_capacities) {
+      capacities.Add(capacity);
+    }
+    j.Set("device_capacities", std::move(capacities));
+  }
   j.Set("profile_seed", spec.options.profile_seed);
   j.Set("run_seed", spec.options.run_seed);
   j.Set("repeats", spec.repeats);

@@ -24,7 +24,7 @@ Json ToJson(const telemetry::FragAttributionRow& row);      // frag-attribution 
 Json ToJson(const ServeSimStats& stats);
 Json ToJson(const DeviceMetrics& metrics);
 Json ToJson(const ClusterResult& result);   // includes per-device metrics, not per-job outcomes
-Json ToJson(const JobOutcome& outcome);
+Json ToJson(const JobOutcome& outcome);     // one job of a cluster day, with its shape
 Json ToJson(const TraceStats& stats);
 Json ToJson(const PlanStats& stats);
 

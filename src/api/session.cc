@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
+#include <memory>
+#include <string_view>
 #include <utility>
 
+#include "src/allocators/native_allocator.h"
 #include "src/cluster/scheduler.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/common/table.h"
+#include "src/common/units.h"
+#include "src/core/profiler.h"
+#include "src/driver/replay.h"
+#include "src/gpu/sim_device.h"
 #include "src/servesim/request_gen.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
@@ -95,6 +103,41 @@ std::string ExperimentSpec::Variant() const {
   return "?";
 }
 
+std::string ExperimentResult::Summary() const {
+  if (infeasible) {
+    return "infeasible (exceeds device capacity)";
+  }
+  if (oom) {
+    return "OOM";
+  }
+  return StrFormat("E=%5.1f%%  Ma=%s  Mr=%s  frag=%s  releases=%llu", memory_efficiency * 100.0,
+                   FormatBytes(allocated_peak).c_str(), FormatBytes(reserved_peak).c_str(),
+                   FormatBytes(fragmentation_bytes).c_str(),
+                   static_cast<unsigned long long>(device_release_calls));
+}
+
+std::string JobResult::Summary() const {
+  if (infeasible) {
+    return "infeasible";
+  }
+  if (oom) {
+    return "OOM";
+  }
+  return StrFormat("worst E=%.1f%%  max Mr=%s (rank %d)  total Mr=%s  releases=%llu",
+                   worst_efficiency * 100.0, FormatBytes(max_reserved).c_str(), limiting_rank,
+                   FormatBytes(total_reserved).c_str(),
+                   static_cast<unsigned long long>(max_release_calls));
+}
+
+std::string ServeExperimentResult::Summary() const {
+  if (replay.infeasible || replay.oom) {
+    return replay.Summary();
+  }
+  return StrFormat("%s  preempt=%llu tokens=%llu batch=%d", replay.Summary().c_str(),
+                   static_cast<unsigned long long>(serve.preemptions),
+                   static_cast<unsigned long long>(serve.tokens_admitted), serve.peak_batch);
+}
+
 std::string RunRecord::Summary() const {
   if (train_rank.has_value()) {
     return train_rank->Summary();
@@ -112,6 +155,148 @@ std::string RunRecord::Summary() const {
 }
 
 namespace {
+
+// The offline stage of a plan kind: the profiled trace the plan is synthesized from, with the
+// feasibility verdict. Only plan kinds call it.
+using ProfileStep = std::function<ProfileResult()>;
+
+// The one experiment pipeline. Replays the run source — an in-memory `trace` or an mmap'd
+// `view`, exactly one non-null — through `allocator`. A plan kind runs `profile`, synthesizes the plan
+// and initializes STAlloc over the device (an infeasible profile or a pool that does not fit
+// ends the run there); every other kind is built by its registry factory.
+ExperimentResult RunPipeline(const Trace* trace, const TraceView* view,
+                             const ProfileStep& profile, std::string_view allocator,
+                             const ExperimentOptions& options) {
+  const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(allocator);
+  STALLOC_CHECK(entry != nullptr, << "unknown allocator '" << allocator << "'");
+  ExperimentResult result;
+  result.allocator = entry->name;
+  SimDevice device(options.capacity_bytes);
+
+  std::unique_ptr<Allocator> alloc;
+  const STAllocAllocator* planned = nullptr;
+  if (entry->requires_plan) {
+    const ProfileResult profiled = profile();
+    result.profile_wall_ms = profiled.wall_ms;
+    if (!profiled.feasible) {
+      result.infeasible = true;
+      return result;
+    }
+    SynthesisResult synthesis = SynthesizePlan(profiled.trace);
+    result.plan_stats = synthesis.stats;
+    auto stalloc_alloc = std::make_unique<STAllocAllocator>(
+        &device, std::move(synthesis.plan), std::move(synthesis.dyn_space),
+        PlanKindConfig(allocator));
+    if (!stalloc_alloc->Init()) {
+      result.oom = true;
+      return result;
+    }
+    planned = stalloc_alloc.get();
+    alloc = std::move(stalloc_alloc);
+  } else {
+    alloc = entry->factory(&device, options);
+  }
+  STALLOC_CHECK(alloc != nullptr, << "allocator '" << allocator << "' built nothing");
+
+  const ReplayResult replay =
+      view != nullptr ? ReplayTrace(*view, alloc.get()) : ReplayTrace(*trace, alloc.get());
+  const DeviceApiCounters& counters = device.counters();
+  result.oom = replay.oom;
+  result.allocated_peak = replay.allocated_peak;
+  result.reserved_peak = replay.reserved_peak;
+  result.memory_efficiency = replay.memory_efficiency;
+  result.fragmentation_ratio = 1.0 - replay.memory_efficiency;
+  result.fragmentation_bytes = alloc->stats().FragmentationBytes();
+  result.device_api_cost_us = counters.total_cost_us;
+  result.device_api_calls = counters.TotalCalls();
+  result.device_release_calls = counters.cuda_free + counters.mem_unmap + counters.mem_release;
+  result.replay_wall_ms = replay.replay_wall_seconds * 1e3;
+  if (planned != nullptr) {
+    result.breakdown = planned->breakdown();
+  }
+  // The native allocator holds exactly the live bytes, so its OOM means the demand itself
+  // exceeds capacity.
+  if (result.oom && dynamic_cast<const NativeAllocator*>(alloc.get()) != nullptr) {
+    result.infeasible = true;
+  }
+  return result;
+}
+
+// One training rank: replays the run-seed iteration; plan kinds profile the profile-seed one.
+ExperimentResult RunWorkload(const WorkloadBuilder& workload, std::string_view allocator,
+                             const ExperimentOptions& options) {
+  const Trace run_trace = workload.Build(options.run_seed);
+  return RunPipeline(
+      &run_trace, nullptr,
+      [&] { return ProfileWorkload(workload, options.capacity_bytes, options.profile_seed); },
+      allocator, options);
+}
+
+// A preloaded trace file: the trace is its own profile, so plan kinds get the self-plan upper
+// bound. Lifespan classification (and therefore the whole plan) keys on phase structure; a
+// phaseless op stream cannot be planned and profiles as infeasible.
+ExperimentResult RunTraceFile(const Trace* trace, const TraceView* view,
+                              std::string_view allocator, const ExperimentOptions& options) {
+  return RunPipeline(
+      trace, view,
+      [&] {
+        Trace materialized = view != nullptr ? view->Materialize() : *trace;
+        if (materialized.phases().empty()) {
+          return ProfileResult{};
+        }
+        return ProfileTrace(std::move(materialized), options.capacity_bytes);
+      },
+      allocator, options);
+}
+
+// Every pipeline rank of a training job, aggregated with job semantics.
+JobResult RunJobRanks(const ModelConfig& model, TrainConfig config, std::string_view allocator,
+                      const ExperimentOptions& options) {
+  JobResult job;
+  for (int rank = 0; rank < config.parallel.pp; ++rank) {
+    config.rank = rank;
+    ExperimentResult r = RunWorkload(WorkloadBuilder(model, config), allocator, options);
+    job.oom |= r.oom;
+    job.infeasible |= r.infeasible;
+    job.worst_efficiency = std::min(job.worst_efficiency, r.memory_efficiency);
+    if (r.reserved_peak > job.max_reserved) {
+      job.max_reserved = r.reserved_peak;
+      job.limiting_rank = rank;
+    }
+    job.total_reserved += r.reserved_peak;
+    job.max_release_calls = std::max(job.max_release_calls, r.device_release_calls);
+    job.ranks.push_back(std::move(r));
+  }
+  return job;
+}
+
+// One serving day at the run seed. Plan kinds profile another day — same scenario, profile
+// seed — so arrivals, lengths and preemptions all differ, unlike training's repeating
+// iterations. The paged-KV pool page defaults to the workload's KV block.
+ServeExperimentResult RunServeDay(const ModelConfig& model, const ServeScenario& scenario,
+                                  const EngineConfig& engine, std::string_view allocator,
+                                  ExperimentOptions options) {
+  if (options.paged_block_bytes == 0) {
+    options.paged_block_bytes = KvBlockBytes(model, engine);
+  }
+  ServeTraceResult run = BuildServeTrace(model, scenario, engine, options.run_seed);
+  ServeExperimentResult result;
+  result.serve = run.stats;
+  result.trace_events = run.trace.size();
+  result.replay = RunPipeline(
+      &run.trace, nullptr,
+      [&] {
+        // wall_ms covers trace generation + replay, matching ProfileWorkload's Tprofile.
+        Stopwatch timer;
+        ProfileResult profiled = ProfileTrace(
+            BuildServeTrace(model, scenario, engine, options.profile_seed).trace,
+            options.capacity_bytes);
+        profiled.wall_ms = timer.ElapsedMillis();
+        return profiled;
+      },
+      allocator, options);
+  return result;
+}
 
 RunStatus StatusOf(const ExperimentResult& r) {
   // Infeasible wins over oom, matching ExperimentResult::Summary precedence.
@@ -287,6 +472,14 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
     if (spec.workers < 0) {
       return fail("workers must be >= 0");
     }
+    if (!spec.device_capacities.empty() &&
+        spec.device_capacities.size() != static_cast<size_t>(spec.devices)) {
+      return fail("device_capacities lists " + std::to_string(spec.device_capacities.size()) +
+                  " capacities for " + std::to_string(spec.devices) + " devices");
+    }
+  }
+  if (!spec.device_capacities.empty() && spec.axis != WorkloadAxis::kCluster) {
+    return fail("device_capacities only apply to the cluster axis");
   }
   if (!spec.trace_file.empty() && spec.axis != WorkloadAxis::kTrainRank) {
     return fail("trace-file replay is only supported on the rank axis");
@@ -351,36 +544,30 @@ RunRecord Session::RunOne(const ExperimentSpec& spec, const std::string& allocat
   rec.capacity_bytes = options.capacity_bytes;
 
   switch (spec.axis) {
-    case WorkloadAxis::kTrainRank: {
-      if (replay_view_ != nullptr) {
-        FillFromExperiment(RunTraceReplay(*replay_view_, allocator, options), &rec);
-        break;
-      }
-      if (replay_trace_ != nullptr) {
-        FillFromExperiment(RunTraceReplay(*replay_trace_, allocator, options), &rec);
+    case WorkloadAxis::kTrainRank:
+      if (replay_view_ != nullptr || replay_trace_ != nullptr) {
+        FillFromExperiment(RunTraceFile(replay_trace_, replay_view_, allocator, options), &rec);
         break;
       }
       STALLOC_CHECK(spec.trace_file.empty(),
                     << "spec.trace_file is set but no trace was preloaded; tools must open the "
                        "file and call SetReplayTrace before running");
-      WorkloadBuilder workload(ModelByName(spec.model), spec.EffectiveTrain());
-      FillFromExperiment(RunExperiment(workload, allocator, options), &rec);
+      FillFromExperiment(
+          RunWorkload(WorkloadBuilder(ModelByName(spec.model), spec.EffectiveTrain()), allocator,
+                      options),
+          &rec);
       break;
-    }
     case WorkloadAxis::kTrainJob:
-      FillFromJob(RunJob(ModelByName(spec.model), spec.EffectiveTrain(), allocator, options),
-                  &rec);
+      FillFromJob(
+          RunJobRanks(ModelByName(spec.model), spec.EffectiveTrain(), allocator, options), &rec);
       break;
     case WorkloadAxis::kServing: {
       ServeScenario scenario = ScenarioByName(spec.scenario);
       if (spec.serve_requests != 0) {
         scenario.num_requests = spec.serve_requests;
       }
-      ServeOptions serve_options;
-      serve_options.base = options;
-      serve_options.engine = spec.engine;
       FillFromServe(
-          RunServeExperiment(ModelByName(spec.model), scenario, allocator, serve_options), &rec);
+          RunServeDay(ModelByName(spec.model), scenario, spec.engine, allocator, options), &rec);
       break;
     }
     case WorkloadAxis::kCluster:  // handled before the span above
@@ -425,13 +612,16 @@ RunRecord Session::RunClusterJobs(const ExperimentSpec& spec, const std::string&
   rec.capacity_bytes = spec.options.capacity_bytes;
 
   FleetConfig fleet;
-  fleet.device_capacities.assign(static_cast<size_t>(spec.devices),
-                                 spec.options.capacity_bytes);
+  fleet.device_capacities = spec.device_capacities;
+  if (fleet.device_capacities.empty()) {
+    fleet.device_capacities.assign(static_cast<size_t>(spec.devices),
+                                   spec.options.capacity_bytes);
+  }
   fleet.allocator = allocator;
   fleet.policy = SchedulerPolicyByName(spec.policy);
   fleet.max_oom_retries = spec.oom_retries;
   fleet.profile_seed = spec.options.profile_seed;
-  fleet.allocator_options = spec.options;  // only the AllocatorOptions overrides are read
+  fleet.allocator_options = spec.options;
   fleet.workers = spec.workers;
 
   FillFromCluster(RunCluster(fleet, jobs), &rec);

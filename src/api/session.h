@@ -1,9 +1,11 @@
-// Session: the one runner behind every bench and tool — dispatches ExperimentSpecs to the
-// existing drivers and returns uniform RunRecord envelopes.
+// Session: the one way to run an experiment — takes ExperimentSpecs and returns uniform
+// RunRecord envelopes.
 //
-// Dispatch is deliberately a thin veneer: a Session run is bit-identical to calling the
-// underlying driver directly with the same seeds (pinned by tests/session_test.cc), so
-// rebasing a binary onto the API layer can never change its numbers.
+// The rank, trace-file and serving axes run one pipeline: build the run trace (or borrow the
+// preloaded trace/view), then — for plan kinds only — profile, synthesize the plan offline and
+// initialize STAlloc (§8); every other kind comes from its registry factory. The replay is
+// ReplayTrace in both cases. The job axis runs that pipeline once per pipeline rank; the cluster
+// axis runs RunCluster. tests/session_test.cc pins the numbers with literal values.
 
 #ifndef SRC_API_SESSION_H_
 #define SRC_API_SESSION_H_
@@ -39,10 +41,12 @@ class Session {
   RunRecord RunClusterJobs(const ExperimentSpec& spec, const std::string& allocator,
                            const std::vector<ClusterJob>& jobs, int repeat = 0);
 
-  // Preloads a replay trace for kTrainRank specs: subsequent rank-axis runs replay it through
-  // RunTraceReplay instead of building the simulated workload. The session borrows the
-  // trace/view — it must outlive every run. Pass nullptr to clear; setting one form clears the
-  // other. The view form replays straight from the mmap'd columnar file.
+  // Preloads a replay trace for kTrainRank specs: subsequent rank-axis runs replay it instead of
+  // building the simulated workload. Baseline kinds replay it directly; plan kinds treat it as
+  // its own profile (the self-plan upper bound), and a trace with no phase structure cannot be
+  // planned, so plan kinds come back infeasible on it. The session borrows the trace/view — it
+  // must outlive every run. Pass nullptr to clear; setting one form clears the other. The view
+  // form replays straight from the mmap'd columnar file; only plan kinds materialize it.
   void SetReplayTrace(const Trace* trace);
   void SetReplayTrace(const TraceView* view);
 

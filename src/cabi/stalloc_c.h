@@ -62,7 +62,7 @@ STALLOC_C_API void stalloc_destroy(stalloc_handle* h);
 STALLOC_C_API const char* stalloc_last_error(void);
 
 /* Reference replay: loads the trace CSV at `trace_csv_path`, replays it in-process through
- * allocator `name` over a fresh device (same engine the experiment drivers use), and stores
+ * allocator `name` over a fresh device (same engine the experiment pipeline uses), and stores
  * the 64-bit FNV-1a placement digest in *out_digest. An external client replaying the same
  * trace through stalloc_malloc/stalloc_free — frees sorted before mallocs at equal timestamps,
  * stopping at the first failed malloc, folding (0x4d, id, addr, size) per malloc and

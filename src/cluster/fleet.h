@@ -26,9 +26,9 @@
 #include <string>
 #include <vector>
 
+#include "src/allocators/registry.h"
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/scheduler.h"
-#include "src/driver/experiment.h"
 #include "src/metrics/throughput_model.h"
 
 namespace stalloc {
@@ -41,8 +41,8 @@ struct FleetConfig {
   uint64_t profile_seed = 1001;   // plan-aware profiling seed (differs from job run seeds)
   GpuSpec gpu = GpuSpec::A800();  // feeds the serving SLO latency model
   double slo_slack_factor = 3.0;  // SLO bound = slack * ideal request latency
-  // Per-allocator overrides (gmlake_frag_limit, paged_block_bytes); capacity/seeds unused.
-  ExperimentOptions allocator_options;
+  // Per-allocator construction overrides (gmlake_frag_limit, paged_block_bytes, ...).
+  AllocatorOptions allocator_options;
 
   // Parallel execution. Results are bit-identical for every workers/shards/assignment choice
   // (see sharded_fleet.cc); these knobs only trade wall-clock time.
@@ -77,6 +77,7 @@ struct JobOutcome {
   std::vector<int> devices;  // devices of the last admission, rank order
   double queue_wait = 0;     // first admission - submission, in cluster ticks
   double slo_attainment = -1.0;  // serving jobs only; -1 when not applicable
+  std::string shape;             // ClusterJob::Describe() of the job (not in Digest)
 };
 
 struct DeviceMetrics {

@@ -199,6 +199,7 @@ class ShardedClusterSim {
       job.outcome.id = spec.id;
       job.outcome.type = spec.type;
       job.outcome.submit_time = spec.submit_time;
+      job.outcome.shape = spec.Describe();
       jobs_.push_back(std::move(job));
     }
     oomed_now_.assign(jobs_.size(), 0);

@@ -3,12 +3,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/units.h"
 
 namespace stalloc {
+
+STAllocConfig PlanKindConfig(std::string_view allocator) {
+  STAllocConfig config;
+  config.enable_dynamic_reuse = allocator != "stalloc-noreuse";
+  return config;
+}
 
 STAllocAllocator::STAllocAllocator(SimDevice* device, StaticPlan plan,
                                    DynamicReusableSpace dyn_space, STAllocConfig config)

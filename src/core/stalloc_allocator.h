@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/allocators/caching_allocator.h"
@@ -40,6 +41,11 @@ struct STAllocConfig {
   // declaring a plan mismatch.
   size_t matcher_window = 64;
 };
+
+// Runtime configuration of the plan kind `allocator`: "stalloc-noreuse" is STAlloc with
+// dynamic reuse off (the Fig. 13 ablation); every other plan kind runs full STAlloc. The one
+// place a decision keys on an allocator's name rather than its registry entry.
+STAllocConfig PlanKindConfig(std::string_view allocator);
 
 // Per-path counters for the performance breakdown (§9.4, Table 3).
 struct STAllocBreakdown {

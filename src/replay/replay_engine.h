@@ -1,7 +1,7 @@
-// ReplayEngine: the single streaming replay core behind every driver in this repository.
+// ReplayEngine: the single streaming replay core behind every replay in this repository.
 //
 // Historically three layers each re-implemented the same loop — ReplayTrace (single training
-// iteration), RunServeExperiment (serving day) and the cluster Fleet (op-interleaved
+// iteration), the serving-day harness and the cluster Fleet (op-interleaved
 // multi-tenant replay): op dispatch into an Allocator, live-block ledgers, OOM unwinding and
 // metrics accumulation, three times over. The engine unifies them: it consumes a merged,
 // timestamp-ordered stream of per-tenant trace ops (each *source* is one trace replayed

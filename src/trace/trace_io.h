@@ -38,18 +38,9 @@ bool WriteTraceCsvFile(const Trace& trace, const std::string& path);
 bool ReadTraceCsv(std::istream& is, Trace* out, TraceIoError* err);
 bool ReadTraceCsvFile(const std::string& path, Trace* out, TraceIoError* err);
 
-// Binary v1: a fixed-width little-endian row encoding — parsed in one pass without text
-// conversion. Layout: magic "STLB", version u32, then length-prefixed sections for phases,
-// layers and events. The columnar v2 format (magic "STLC") lives in src/trace/trace_v2.h and
-// supports zero-copy mmap replay via TraceView.
-void WriteTraceBinary(const Trace& trace, std::ostream& os);
-bool WriteTraceBinaryFile(const Trace& trace, const std::string& path);
-bool ReadTraceBinary(std::istream& is, Trace* out, TraceIoError* err);
-bool ReadTraceBinaryFile(const std::string& path, Trace* out, TraceIoError* err);
-
-// Reads a trace of any supported format, sniffing the leading magic: "STLB" → binary v1,
-// "STLC" → columnar v2 (fully materialized — use TraceView directly for streaming replay),
-// anything else → CSV.
+// Reads a trace of either supported format, sniffing the leading magic: "STLC" → columnar v2
+// (fully materialized — use TraceView directly for streaming replay), anything else → CSV.
+// The columnar v2 format lives in src/trace/trace_v2.h and supports zero-copy mmap replay.
 bool ReadTraceAnyFile(const std::string& path, Trace* out, TraceIoError* err);
 
 }  // namespace stalloc

@@ -1,9 +1,12 @@
-#include "src/driver/experiment.h"
+// The rank axis of the Session pipeline end to end: STAlloc against the baselines on small
+// training workloads, feasibility, and the Fig. 13 ordering.
 
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/api/session.h"
+#include "src/api/spec.h"
 #include "src/common/units.h"
 #include "src/driver/replay.h"
 #include "src/trainsim/model_config.h"
@@ -11,19 +14,27 @@
 namespace stalloc {
 namespace {
 
-WorkloadBuilder SmallWorkload(const char* model, const char* tag) {
-  TrainConfig base;
-  base.parallel.pp = 2;
-  base.parallel.dp = 2;
-  base.num_microbatches = 4;
-  base.micro_batch_size = ModelByName(model).moe.enabled() ? 2 : 4;
-  return WorkloadBuilder(ModelByName(model), ApplyConfigTag(base, tag));
+// Rank 0 of a small two-stage pipeline of `model` under the §9.2 config `tag`.
+ExperimentSpec SmallSpec(const char* model, const char* tag) {
+  ExperimentSpec spec;
+  spec.axis = WorkloadAxis::kTrainRank;
+  spec.model = model;
+  spec.train.parallel.pp = 2;
+  spec.train.parallel.dp = 2;
+  spec.train.num_microbatches = 4;
+  spec.train.micro_batch_size = ModelByName(model).moe.enabled() ? 2 : 4;
+  spec.config_tag = tag;
+  return spec;
+}
+
+ExperimentResult RankOf(const ExperimentSpec& spec, const std::string& allocator) {
+  return *Session().RunOne(spec, allocator).train_rank;
 }
 
 TEST(Experiment, StallocBeatsCachingOnEfficiency) {
-  WorkloadBuilder wb = SmallWorkload("gpt2", "VR");
-  ExperimentResult caching = RunExperiment(wb, "torch-caching");
-  ExperimentResult stalloc = RunExperiment(wb, "stalloc");
+  const ExperimentSpec spec = SmallSpec("gpt2", "VR");
+  ExperimentResult caching = RankOf(spec, "torch-caching");
+  ExperimentResult stalloc = RankOf(spec, "stalloc");
   ASSERT_FALSE(caching.oom);
   ASSERT_FALSE(stalloc.oom);
   EXPECT_GT(stalloc.memory_efficiency, caching.memory_efficiency);
@@ -33,37 +44,34 @@ TEST(Experiment, StallocBeatsCachingOnEfficiency) {
 TEST(Experiment, StallocEfficiencyAbove95OnDenseModels) {
   // §9.2: ">95% (up to 100%) memory efficiency in all cases" for dense models.
   for (const char* tag : {"N", "R", "V", "VR", "ZR", "ZOR"}) {
-    WorkloadBuilder wb = SmallWorkload("gpt2", tag);
-    ExperimentResult r = RunExperiment(wb, "stalloc");
+    ExperimentResult r = RankOf(SmallSpec("gpt2", tag), "stalloc");
     ASSERT_FALSE(r.oom) << tag;
     EXPECT_GT(r.memory_efficiency, 0.95) << "config " << tag;
   }
 }
 
 TEST(Experiment, NativeAllocatorDefinesFeasibility) {
-  WorkloadBuilder wb = SmallWorkload("gpt2", "N");
-  ExperimentOptions opt;
-  opt.capacity_bytes = 1 * GiB;  // too small for the workload
-  ExperimentResult native = RunExperiment(wb, "native", opt);
+  ExperimentSpec spec = SmallSpec("gpt2", "N");
+  spec.options.capacity_bytes = 1 * GiB;  // too small for the workload
+  ExperimentResult native = RankOf(spec, "native");
   EXPECT_TRUE(native.infeasible);
-  ExperimentResult st = RunExperiment(wb, "stalloc", opt);
+  ExperimentResult st = RankOf(spec, "stalloc");
   EXPECT_TRUE(st.infeasible) << "STAlloc profiling must detect theoretical infeasibility";
 }
 
 TEST(Experiment, FragmentationCanCauseOomWhereStallocFits) {
   // Size the device between STAlloc's reserved peak and the caching allocator's: the caching
   // run must OOM while STAlloc completes — the Table 1 effect.
-  WorkloadBuilder wb = SmallWorkload("gpt2", "VR");
-  ExperimentResult caching_big = RunExperiment(wb, "torch-caching");
-  ExperimentResult stalloc_big = RunExperiment(wb, "stalloc");
+  ExperimentSpec spec = SmallSpec("gpt2", "VR");
+  ExperimentResult caching_big = RankOf(spec, "torch-caching");
+  ExperimentResult stalloc_big = RankOf(spec, "stalloc");
   ASSERT_FALSE(caching_big.oom);
   ASSERT_FALSE(stalloc_big.oom);
   ASSERT_LT(stalloc_big.reserved_peak, caching_big.reserved_peak);
 
-  ExperimentOptions tight;
-  tight.capacity_bytes = (stalloc_big.reserved_peak + caching_big.reserved_peak) / 2;
-  ExperimentResult caching_tight = RunExperiment(wb, "torch-caching", tight);
-  ExperimentResult stalloc_tight = RunExperiment(wb, "stalloc", tight);
+  spec.options.capacity_bytes = (stalloc_big.reserved_peak + caching_big.reserved_peak) / 2;
+  ExperimentResult caching_tight = RankOf(spec, "torch-caching");
+  ExperimentResult stalloc_tight = RankOf(spec, "stalloc");
   EXPECT_FALSE(stalloc_tight.oom);
   EXPECT_FALSE(stalloc_tight.infeasible);
   // The caching allocator either OOMs or survives by thrashing: repeatedly releasing cached
@@ -71,7 +79,7 @@ TEST(Experiment, FragmentationCanCauseOomWhereStallocFits) {
   // throughput in production). Either way STAlloc is strictly better off.
   if (!caching_tight.oom) {
     EXPECT_GT(caching_tight.device_api_calls, stalloc_tight.device_api_calls);
-    EXPECT_LE(caching_tight.reserved_peak, tight.capacity_bytes);
+    EXPECT_LE(caching_tight.reserved_peak, spec.options.capacity_bytes);
   }
 }
 
@@ -79,12 +87,11 @@ TEST(Experiment, MoeBreakdownMatchesFig13Ordering) {
   // Fig. 13: caching <= STAlloc w/o reuse <= full STAlloc in memory efficiency. The MoE model
   // carries ~130 GiB of per-rank persistent state at pp=2 without ZeRO, so give the device
   // ample capacity — this test is about ordering, not OOM.
-  WorkloadBuilder wb = SmallWorkload("qwen1.5-moe", "R");
-  ExperimentOptions opt;
-  opt.capacity_bytes = 256ull * GiB;
-  ExperimentResult caching = RunExperiment(wb, "torch-caching", opt);
-  ExperimentResult no_reuse = RunExperiment(wb, "stalloc-noreuse", opt);
-  ExperimentResult full = RunExperiment(wb, "stalloc", opt);
+  ExperimentSpec spec = SmallSpec("qwen1.5-moe", "R");
+  spec.options.capacity_bytes = 256ull * GiB;
+  ExperimentResult caching = RankOf(spec, "torch-caching");
+  ExperimentResult no_reuse = RankOf(spec, "stalloc-noreuse");
+  ExperimentResult full = RankOf(spec, "stalloc");
   ASSERT_FALSE(caching.oom || no_reuse.oom || full.oom);
   EXPECT_GE(no_reuse.memory_efficiency, caching.memory_efficiency - 0.02);
   EXPECT_GE(full.memory_efficiency, no_reuse.memory_efficiency - 1e-9);
@@ -93,9 +100,9 @@ TEST(Experiment, MoeBreakdownMatchesFig13Ordering) {
 
 TEST(Experiment, StallocApiCostIsTiny) {
   // §8: one native allocation for the pool; no device API traffic on the hot path.
-  WorkloadBuilder wb = SmallWorkload("gpt2", "R");
-  ExperimentResult st = RunExperiment(wb, "stalloc");
-  ExperimentResult es = RunExperiment(wb, "torch-expandable");
+  const ExperimentSpec spec = SmallSpec("gpt2", "R");
+  ExperimentResult st = RankOf(spec, "stalloc");
+  ExperimentResult es = RankOf(spec, "torch-expandable");
   ASSERT_FALSE(st.oom || es.oom);
   EXPECT_LT(st.device_api_calls, 64u);
   EXPECT_GT(es.device_api_calls, st.device_api_calls);

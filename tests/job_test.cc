@@ -1,4 +1,5 @@
-#include "src/driver/job.h"
+// The job axis of the Session: one allocator over every pipeline rank, aggregated with job
+// semantics.
 
 #include <algorithm>
 #include <cstdint>
@@ -6,23 +7,30 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/session.h"
+#include "src/api/spec.h"
 #include "src/common/units.h"
-#include "src/trainsim/model_config.h"
 
 namespace stalloc {
 namespace {
 
-TrainConfig SmallConfig() {
-  TrainConfig c;
-  c.parallel.pp = 2;
-  c.parallel.dp = 2;
-  c.num_microbatches = 4;
-  c.micro_batch_size = 4;
-  return c;
+ExperimentSpec SmallJob() {
+  ExperimentSpec spec;
+  spec.axis = WorkloadAxis::kTrainJob;
+  spec.model = "gpt2";
+  spec.train.parallel.pp = 2;
+  spec.train.parallel.dp = 2;
+  spec.train.num_microbatches = 4;
+  spec.train.micro_batch_size = 4;
+  return spec;
+}
+
+JobResult JobOf(const ExperimentSpec& spec, const std::string& allocator) {
+  return *Session().RunOne(spec, allocator).job;
 }
 
 TEST(Job, RunsEveryPipelineRank) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
+  JobResult job = JobOf(SmallJob(), "torch-caching");
   ASSERT_EQ(job.ranks.size(), 2u);
   EXPECT_FALSE(job.oom);
   EXPECT_GT(job.max_reserved, 0u);
@@ -31,7 +39,7 @@ TEST(Job, RunsEveryPipelineRank) {
 }
 
 TEST(Job, WorstMetricsAggregate) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
+  JobResult job = JobOf(SmallJob(), "torch-caching");
   double min_eff = 1.0;
   uint64_t max_mr = 0;
   uint64_t total = 0;
@@ -47,23 +55,23 @@ TEST(Job, WorstMetricsAggregate) {
 }
 
 TEST(Job, OomOnAnyRankMarksJob) {
-  ExperimentOptions opt;
-  opt.capacity_bytes = 1 * GiB;  // too small
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching", opt);
+  ExperimentSpec spec = SmallJob();
+  spec.options.capacity_bytes = 1 * GiB;  // too small
+  JobResult job = JobOf(spec, "torch-caching");
   EXPECT_TRUE(job.oom);
   EXPECT_NE(job.Summary().find("OOM"), std::string::npos);
 }
 
 TEST(Job, StallocBeatsCachingJobWide) {
-  JobResult torch = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
-  JobResult st = RunJob(Gpt2_345M(), SmallConfig(), "stalloc");
+  JobResult torch = JobOf(SmallJob(), "torch-caching");
+  JobResult st = JobOf(SmallJob(), "stalloc");
   ASSERT_FALSE(torch.oom || st.oom);
   EXPECT_GE(st.worst_efficiency, torch.worst_efficiency);
   EXPECT_LE(st.total_reserved, torch.total_reserved);
 }
 
 TEST(Job, SummaryFormats) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "stalloc");
+  JobResult job = JobOf(SmallJob(), "stalloc");
   const std::string s = job.Summary();
   EXPECT_NE(s.find("worst E="), std::string::npos);
   EXPECT_NE(s.find("rank"), std::string::npos);

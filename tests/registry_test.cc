@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/spec.h"
 #include "src/common/units.h"
-#include "src/driver/experiment.h"
 #include "src/gpu/sim_device.h"
 
 namespace stalloc {

@@ -1,5 +1,5 @@
-// Coverage for src/replay/replay_engine.*: the unified streaming replay core every driver
-// (ReplayTrace, RunServeExperiment, the cluster Fleet) now routes through. Exercises global
+// Coverage for src/replay/replay_engine.*: the unified streaming replay core every replay
+// (ReplayTrace, the Session pipeline, the cluster Fleet) now routes through. Exercises global
 // (time, source) op ordering, tenant-gang unwinding, the three shared OOM policies
 // (abort / requeue / preempt-with-recompute), restart semantics and the observer surface.
 

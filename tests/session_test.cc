@@ -1,6 +1,6 @@
-// Session/ExperimentSpec: every spec axis must dispatch to the corresponding driver and
-// reproduce its outcome bit-for-bit on identical seeds — the guarantee that rebasing a bench
-// onto the API layer can never change its numbers.
+// Session/ExperimentSpec: every spec axis runs on pinned seeds to pinned numbers — literal Ma,
+// Mr, device API and release calls and summaries per axis, and the cluster axis bit-identical
+// to RunCluster — so a change to the pipeline can never move a bench's numbers silently.
 
 #include "src/api/session.h"
 
@@ -16,12 +16,7 @@
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/fleet.h"
 #include "src/common/units.h"
-#include "src/driver/experiment.h"
-#include "src/driver/job.h"
-#include "src/driver/serve_experiment.h"
-#include "src/servesim/request_gen.h"
 #include "src/trainsim/model_config.h"
-#include "src/trainsim/workload.h"
 
 namespace stalloc {
 namespace {
@@ -53,8 +48,36 @@ void ExpectBitIdentical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.Summary(), b.Summary());
 }
 
-TEST(Session, TrainRankMatchesRunExperimentBitForBit) {
-  for (const char* alloc : {"torch-caching", "stalloc"}) {
+// The outcome of one replay, as literal values.
+struct Pinned {
+  uint64_t allocated_peak;
+  uint64_t reserved_peak;
+  uint64_t device_api_calls;
+  uint64_t device_release_calls;
+  const char* summary;
+};
+
+void ExpectPinned(const ExperimentResult& r, const Pinned& want) {
+  EXPECT_EQ(r.allocated_peak, want.allocated_peak) << r.allocator;
+  EXPECT_EQ(r.reserved_peak, want.reserved_peak) << r.allocator;
+  EXPECT_EQ(r.device_api_calls, want.device_api_calls) << r.allocator;
+  EXPECT_EQ(r.device_release_calls, want.device_release_calls) << r.allocator;
+  EXPECT_EQ(r.Summary(), want.summary) << r.allocator;
+}
+
+TEST(Session, TrainRankNumbersArePinned) {
+  const struct {
+    const char* alloc;
+    Pinned want;
+  } cases[] = {
+      {"torch-caching",
+       {4914260224, 5775556608, 73, 0,
+        "E= 85.1%  Ma=4.58 GiB  Mr=5.38 GiB  frag=821.40 MiB  releases=0"}},
+      {"stalloc",
+       {4914260224, 4914260480, 1, 0,
+        "E=100.0%  Ma=4.58 GiB  Mr=4.58 GiB  frag=256 B  releases=0"}},
+  };
+  for (const auto& c : cases) {
     ExperimentSpec spec;
     spec.axis = WorkloadAxis::kTrainRank;
     spec.model = "gpt2";
@@ -63,19 +86,17 @@ TEST(Session, TrainRankMatchesRunExperimentBitForBit) {
     spec.options = SmallOptions();
 
     Session session;
-    RunRecord rec = session.RunOne(spec, alloc);
+    RunRecord rec = session.RunOne(spec, c.alloc);
 
-    WorkloadBuilder workload(ModelByName("gpt2"), spec.train);
-    ExperimentResult direct = RunExperiment(workload, alloc, spec.options);
-
-    ASSERT_TRUE(rec.train_rank.has_value()) << alloc;
-    ExpectBitIdentical(*rec.train_rank, direct);
+    ASSERT_TRUE(rec.train_rank.has_value()) << c.alloc;
+    EXPECT_EQ(rec.train_rank->allocator, c.alloc);
+    ExpectPinned(*rec.train_rank, c.want);
     // The envelope's common fields mirror the payload exactly.
-    EXPECT_EQ(rec.allocated_peak, direct.allocated_peak) << alloc;
-    EXPECT_EQ(rec.reserved_peak, direct.reserved_peak) << alloc;
-    EXPECT_EQ(rec.memory_efficiency, direct.memory_efficiency) << alloc;
-    EXPECT_EQ(rec.status, RunStatus::kOk) << alloc;
-    EXPECT_EQ(rec.run_seed, spec.options.run_seed) << alloc;
+    EXPECT_EQ(rec.allocated_peak, rec.train_rank->allocated_peak) << c.alloc;
+    EXPECT_EQ(rec.reserved_peak, rec.train_rank->reserved_peak) << c.alloc;
+    EXPECT_EQ(rec.memory_efficiency, rec.train_rank->memory_efficiency) << c.alloc;
+    EXPECT_EQ(rec.status, RunStatus::kOk) << c.alloc;
+    EXPECT_EQ(rec.run_seed, spec.options.run_seed) << c.alloc;
   }
 }
 
@@ -89,14 +110,20 @@ TEST(Session, ConfigTagMatchesApplyConfigTag) {
 
   Session session;
   RunRecord rec = session.RunOne(spec, "torch-caching");
-
-  WorkloadBuilder workload(ModelByName("gpt2"), ApplyConfigTag(SmallTrain(), "R"));
-  ExperimentResult direct = RunExperiment(workload, "torch-caching", spec.options);
   ASSERT_TRUE(rec.train_rank.has_value());
-  ExpectBitIdentical(*rec.train_rank, direct);
+  ExpectPinned(*rec.train_rank,
+               {4454881536, 4676648960, 33, 0,
+                "E= 95.3%  Ma=4.15 GiB  Mr=4.36 GiB  frag=211.49 MiB  releases=0"});
+
+  ExperimentSpec tagged = spec;
+  tagged.config_tag.clear();
+  tagged.train = ApplyConfigTag(SmallTrain(), "R");
+  RunRecord explicit_rec = session.RunOne(tagged, "torch-caching");
+  ASSERT_TRUE(explicit_rec.train_rank.has_value());
+  ExpectBitIdentical(*rec.train_rank, *explicit_rec.train_rank);
 }
 
-TEST(Session, TrainJobMatchesRunJobBitForBit) {
+TEST(Session, TrainJobNumbersArePinned) {
   ExperimentSpec spec;
   spec.axis = WorkloadAxis::kTrainJob;
   spec.model = "gpt2";
@@ -106,19 +133,39 @@ TEST(Session, TrainJobMatchesRunJobBitForBit) {
   Session session;
   RunRecord rec = session.RunOne(spec, "torch-caching");
 
-  JobResult direct = RunJob(ModelByName("gpt2"), spec.train, "torch-caching", spec.options);
   ASSERT_TRUE(rec.job.has_value());
-  ASSERT_EQ(rec.job->ranks.size(), direct.ranks.size());
-  for (size_t i = 0; i < direct.ranks.size(); ++i) {
-    ExpectBitIdentical(rec.job->ranks[i], direct.ranks[i]);
-  }
-  EXPECT_EQ(rec.job->Summary(), direct.Summary());
-  EXPECT_EQ(rec.reserved_peak, direct.max_reserved);
-  EXPECT_EQ(rec.memory_efficiency, direct.worst_efficiency);
+  ASSERT_EQ(rec.job->ranks.size(), 2u);
+  ExpectPinned(rec.job->ranks[0],
+               {5376936192, 6236930048, 122, 0,
+                "E= 86.2%  Ma=5.01 GiB  Mr=5.81 GiB  frag=820.15 MiB  releases=0"});
+  ExpectPinned(rec.job->ranks[1],
+               {4914260224, 5775556608, 73, 0,
+                "E= 85.1%  Ma=4.58 GiB  Mr=5.38 GiB  frag=821.40 MiB  releases=0"});
+  EXPECT_EQ(rec.job->Summary(),
+            "worst E=85.1%  max Mr=5.81 GiB (rank 0)  total Mr=11.19 GiB  releases=0");
+  EXPECT_EQ(rec.reserved_peak, 6236930048u);
+  EXPECT_EQ(rec.memory_efficiency, rec.job->ranks[1].memory_efficiency);
+  EXPECT_EQ(rec.memory_efficiency, rec.job->worst_efficiency);
 }
 
-TEST(Session, ServingMatchesRunServeExperimentBitForBit) {
-  for (const char* alloc : {"paged-kv", "stalloc"}) {
+TEST(Session, ServingNumbersArePinned) {
+  const struct {
+    const char* alloc;
+    Pinned want;
+    const char* serve_summary;
+  } cases[] = {
+      {"paged-kv",
+       {1640583168, 1715900416, 87, 39,
+        "E= 95.6%  Ma=1.53 GiB  Mr=1.60 GiB  frag=71.83 MiB  releases=39"},
+       "E= 95.6%  Ma=1.53 GiB  Mr=1.60 GiB  frag=71.83 MiB  releases=39  preempt=0 "
+       "tokens=7244 batch=22"},
+      {"stalloc",
+       {1640583168, 1671860224, 43, 0,
+        "E= 98.1%  Ma=1.53 GiB  Mr=1.56 GiB  frag=29.83 MiB  releases=0"},
+       "E= 98.1%  Ma=1.53 GiB  Mr=1.56 GiB  frag=29.83 MiB  releases=0  preempt=0 "
+       "tokens=7244 batch=22"},
+  };
+  for (const auto& c : cases) {
     ExperimentSpec spec;
     spec.axis = WorkloadAxis::kServing;
     spec.model = "gpt2";
@@ -128,22 +175,14 @@ TEST(Session, ServingMatchesRunServeExperimentBitForBit) {
     spec.engine.kv_budget_bytes = 2ull * GiB;
 
     Session session;
-    RunRecord rec = session.RunOne(spec, alloc);
+    RunRecord rec = session.RunOne(spec, c.alloc);
 
-    ServeScenario scenario = ScenarioByName("chat");
-    scenario.num_requests = 24;
-    ServeOptions serve_options;
-    serve_options.base = spec.options;
-    serve_options.engine = spec.engine;
-    ServeExperimentResult direct =
-        RunServeExperiment(ModelByName("gpt2"), scenario, alloc, serve_options);
-
-    ASSERT_TRUE(rec.serve.has_value()) << alloc;
-    ExpectBitIdentical(rec.serve->replay, direct.replay);
-    EXPECT_EQ(rec.serve->trace_events, direct.trace_events) << alloc;
-    EXPECT_EQ(rec.serve->serve.preemptions, direct.serve.preemptions) << alloc;
-    EXPECT_EQ(rec.serve->serve.tokens_generated, direct.serve.tokens_generated) << alloc;
-    EXPECT_EQ(rec.serve->Summary(), direct.Summary()) << alloc;
+    ASSERT_TRUE(rec.serve.has_value()) << c.alloc;
+    ExpectPinned(rec.serve->replay, c.want);
+    EXPECT_EQ(rec.serve->trace_events, 1780u) << c.alloc;
+    EXPECT_EQ(rec.serve->serve.preemptions, 0u) << c.alloc;
+    EXPECT_EQ(rec.serve->serve.tokens_generated, 7036u) << c.alloc;
+    EXPECT_EQ(rec.serve->Summary(), c.serve_summary) << c.alloc;
   }
 }
 
@@ -190,6 +229,33 @@ TEST(Session, ClusterMatchesRunClusterBitForBit) {
   EXPECT_EQ(rec.slo_attainment, direct.serve_slo_attainment);
 }
 
+TEST(Session, CapacityListBuildsHeterogeneousFleet) {
+  ExperimentSpec spec;
+  spec.axis = WorkloadAxis::kCluster;
+  spec.policy = "best-fit";
+  spec.devices = 3;
+  spec.device_capacities = {16ull * GiB, 16ull * GiB, 24ull * GiB};
+  spec.options.run_seed = 7;
+  spec.cluster.num_jobs = 10;
+
+  Session session;
+  RunRecord rec = session.RunOne(spec, "gmlake");
+
+  FleetConfig fleet;
+  fleet.device_capacities = spec.device_capacities;
+  fleet.policy = SchedulerPolicy::kBestFit;
+  fleet.allocator = "gmlake";
+  ClusterResult direct = RunCluster(fleet, GenerateClusterWorkload(spec.cluster, 7));
+
+  ASSERT_TRUE(rec.cluster.has_value());
+  ASSERT_EQ(rec.cluster->devices.size(), 3u);
+  EXPECT_EQ(rec.cluster->devices[2].capacity, 24ull * GiB);
+  EXPECT_EQ(rec.cluster->Digest(), direct.Digest());
+  EXPECT_EQ(rec.cluster->Digest(), "67562a2eefc01221");
+  ASSERT_EQ(rec.cluster->jobs.size(), 10u);
+  EXPECT_EQ(rec.cluster->jobs[0].shape, "serve[gpt2 chat n48]");
+}
+
 TEST(Session, RepeatBumpsRunSeedOnly) {
   ExperimentSpec spec;
   spec.axis = WorkloadAxis::kTrainRank;
@@ -203,13 +269,16 @@ TEST(Session, RepeatBumpsRunSeedOnly) {
   RunRecord r1 = session.RunOne(spec, "torch-caching", /*repeat=*/1);
   EXPECT_EQ(r1.run_seed, spec.options.run_seed + 1);
   EXPECT_EQ(r1.profile_seed, spec.options.profile_seed);
-
-  ExperimentOptions bumped = spec.options;
-  bumped.run_seed += 1;
-  WorkloadBuilder workload(ModelByName("qwen1.5-moe"), spec.train);
-  ExperimentResult direct = RunExperiment(workload, "torch-caching", bumped);
   ASSERT_TRUE(r1.train_rank.has_value());
-  ExpectBitIdentical(*r1.train_rank, direct);
+  EXPECT_EQ(r1.status, RunStatus::kOom);
+  ExpectPinned(*r1.train_rank, {28977725440, 29290921984, 205, 0, "OOM"});
+
+  // Repeat 1 is exactly repeat 0 of the bumped run seed.
+  ExperimentSpec bumped = spec;
+  bumped.options.run_seed += 1;
+  RunRecord direct = session.RunOne(bumped, "torch-caching");
+  ASSERT_TRUE(direct.train_rank.has_value());
+  ExpectBitIdentical(*r1.train_rank, *direct.train_rank);
 }
 
 TEST(Session, RunCoversAllocatorsTimesRepeats) {
@@ -281,6 +350,18 @@ TEST(Session, ValidateRejectsBadSpecs) {
 
   spec = ExperimentSpec{};
   spec.repeats = 0;
+  EXPECT_FALSE(Session::Validate(spec, &error));
+
+  // A capacity list must name every device, and only a cluster has devices.
+  spec = ExperimentSpec{};
+  spec.axis = WorkloadAxis::kCluster;
+  spec.devices = 2;
+  spec.device_capacities = {16ull * GiB, 16ull * GiB, 24ull * GiB};
+  EXPECT_FALSE(Session::Validate(spec, &error));
+  EXPECT_NE(error.find("3 capacities for 2 devices"), std::string::npos) << error;
+  spec.devices = 3;
+  EXPECT_TRUE(Session::Validate(spec, &error)) << error;
+  spec.axis = WorkloadAxis::kTrainRank;
   EXPECT_FALSE(Session::Validate(spec, &error));
 
   // And the defaults are valid for every axis.

@@ -1,6 +1,6 @@
-// Round-trip coverage for src/trace/trace_io.*: CSV and binary serialization must be lossless,
-// and a write -> read -> re-write cycle must reproduce the first serialization byte-for-byte
-// (the determinism contract external plan-synthesis tooling relies on, §8).
+// Round-trip coverage for src/trace/trace_io.* and the columnar v2 format: serialization must
+// be lossless, and a write -> read -> re-write cycle must reproduce the first serialization
+// byte-for-byte (the determinism contract external plan-synthesis tooling relies on, §8).
 
 #include "src/trace/trace_io.h"
 
@@ -100,52 +100,19 @@ TEST(TraceIo, CsvRoundTripIsByteIdentical) {
   }
 }
 
-TEST(TraceIo, BinaryRoundTripIsLossless) {
-  for (const Trace& original : {TinyTrace(), TrainingTrace(), ServingTrace()}) {
-    std::ostringstream os;
-    WriteTraceBinary(original, os);
-    std::istringstream is(os.str());
-    Trace reread;
-    TraceIoError err;
-    ASSERT_TRUE(ReadTraceBinary(is, &reread, &err)) << err.ToString();
-    ExpectTracesEqual(original, reread);
-    // Binary -> binary is byte-identical too.
-    std::ostringstream os2;
-    WriteTraceBinary(reread, os2);
-    EXPECT_EQ(os.str(), os2.str());
-  }
-}
-
-TEST(TraceIo, CsvAndBinaryAgree) {
-  const Trace original = TrainingTrace();
-  std::ostringstream bin;
-  WriteTraceBinary(original, bin);
-  std::istringstream bin_is(bin.str());
-  Trace from_binary;
-  TraceIoError err;
-  ASSERT_TRUE(ReadTraceBinary(bin_is, &from_binary, &err)) << err.ToString();
-  EXPECT_EQ(CsvOf(original), CsvOf(from_binary));
-}
-
 TEST(TraceIo, FileRoundTrip) {
   const Trace original = TinyTrace();
   const std::string csv_path = ::testing::TempDir() + "/trace_io_test.csv";
-  const std::string bin_path = ::testing::TempDir() + "/trace_io_test.bin";
   ASSERT_TRUE(WriteTraceCsvFile(original, csv_path));
-  ASSERT_TRUE(WriteTraceBinaryFile(original, bin_path));
-  Trace from_csv, from_bin;
+  Trace from_csv;
   TraceIoError err;
   ASSERT_TRUE(ReadTraceCsvFile(csv_path, &from_csv, &err)) << err.ToString();
-  ASSERT_TRUE(ReadTraceBinaryFile(bin_path, &from_bin, &err)) << err.ToString();
   ExpectTracesEqual(original, from_csv);
-  ExpectTracesEqual(original, from_bin);
   std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
 }
 
 TEST(TraceIo, WriteToUnwritablePathFails) {
   EXPECT_FALSE(WriteTraceCsvFile(TinyTrace(), "/nonexistent-dir/trace.csv"));
-  EXPECT_FALSE(WriteTraceBinaryFile(TinyTrace(), "/nonexistent-dir/trace.bin"));
   EXPECT_FALSE(WriteTraceV2File(TinyTrace(), "/nonexistent-dir/trace.stlc"));
 }
 
@@ -153,7 +120,6 @@ TEST(TraceIo, ReadersReportMissingFiles) {
   Trace out;
   TraceIoError err;
   EXPECT_FALSE(ReadTraceCsvFile("/nonexistent-dir/trace.csv", &out, &err));
-  EXPECT_FALSE(ReadTraceBinaryFile("/nonexistent-dir/trace.bin", &out, &err));
   EXPECT_FALSE(ReadTraceAnyFile("/nonexistent-dir/trace.any", &out, &err));
   TraceView view;
   EXPECT_FALSE(view.Open("/nonexistent-dir/trace.stlc", &err));
@@ -180,19 +146,6 @@ TEST(TraceIo, CsvRejectsNonPositiveLifespan) {
   TraceIoError err;
   ASSERT_FALSE(ReadTraceCsv(is, &out, &err));
   EXPECT_NE(err.message.find("lifespan"), std::string::npos) << err.message;
-}
-
-TEST(TraceIo, BinaryRejectsTruncationWithByteOffset) {
-  std::ostringstream os;
-  WriteTraceBinary(TinyTrace(), os);
-  const std::string full = os.str();
-  std::istringstream is(full.substr(0, full.size() - 7));
-  Trace out;
-  TraceIoError err;
-  ASSERT_FALSE(ReadTraceBinary(is, &out, &err));
-  EXPECT_NE(err.message.find("truncated"), std::string::npos) << err.message;
-  EXPECT_GT(err.byte_offset, 0u);
-  EXPECT_LE(err.byte_offset, full.size());
 }
 
 // --- columnar v2 ---
@@ -388,25 +341,28 @@ TEST(TraceV2, RejectsCorruptedColumns) {
   Trace out;
   TraceIoError err;
   EXPECT_FALSE(ReadTraceAnyFile(path, &out, &err));
+  // A file in the retired row-binary format ("STLB" magic, version 1) is not a trace any more:
+  // it must come back as a status, not a crash.
+  const char stlb[] = {'S', 'T', 'L', 'B', 1, 0, 0, 0, 4, 0, 0, 0, 't', 'i', 'n', 'y'};
+  WriteFileBytes(path, std::string(stlb, sizeof(stlb)));
+  EXPECT_FALSE(ReadTraceAnyFile(path, &out, &err));
+  EXPECT_FALSE(err.message.empty());
   std::remove(path.c_str());
 }
 
 TEST(TraceV2, ReadTraceAnyFileSniffsAllFormats) {
   const Trace original = TinyTrace();
   const std::string csv_path = ::testing::TempDir() + "/trace_any.csv";
-  const std::string bin_path = ::testing::TempDir() + "/trace_any.bin";
   const std::string v2_path = ::testing::TempDir() + "/trace_any.stlc";
   ASSERT_TRUE(WriteTraceCsvFile(original, csv_path));
-  ASSERT_TRUE(WriteTraceBinaryFile(original, bin_path));
   ASSERT_TRUE(WriteTraceV2File(original, v2_path));
-  for (const std::string& path : {csv_path, bin_path, v2_path}) {
+  for (const std::string& path : {csv_path, v2_path}) {
     Trace out;
     TraceIoError err;
     ASSERT_TRUE(ReadTraceAnyFile(path, &out, &err)) << path << ": " << err.ToString();
     ExpectTracesEqual(original, out);
   }
   std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
   std::remove(v2_path.c_str());
 }
 

@@ -6,6 +6,7 @@
 //   stalloc_run --axis job --model llama2-7b --config R --pp 2 --alloc stalloc --capacity 80G
 //   stalloc_run --axis serve --scenario chat --alloc paged-kv,stalloc --capacity 16G --json -
 //   stalloc_run --axis cluster --devices 4 --capacity 16G --policy plan-aware --jobs 10
+//   stalloc_run --axis cluster --capacity 16G,16G,24G --policy best-fit --run-seed 7
 //   stalloc_run --list-allocs | --list-axes | --list-models | --list-scenarios | --list-policies
 
 #include <cstdio>
@@ -67,6 +68,39 @@ TextTable RecordTable(WorkloadAxis axis, const std::vector<RunRecord>& records) 
   return table;
 }
 
+// The cluster day in detail: one row per job, then one per device.
+void PrintClusterDay(const ClusterResult& day, ReportSink* sink) {
+  TextTable jobs({"job", "shape", "submit", "status", "wait", "tries", "estimate",
+                  "actual peak", "devices", "SLO"});
+  for (const JobOutcome& o : day.jobs) {
+    std::string devices;
+    for (int d : o.devices) {
+      devices += (devices.empty() ? "" : ",") + std::to_string(d);
+    }
+    jobs.AddRow({StrFormat("%llu", static_cast<unsigned long long>(o.id)), o.shape,
+                 StrFormat("%llu", static_cast<unsigned long long>(o.submit_time)),
+                 JobStatusName(o.status), StrFormat("%.0f", o.queue_wait),
+                 StrFormat("%d", o.attempts), FormatBytes(o.estimate),
+                 o.attempts > 0 ? FormatBytes(o.actual_peak) : "-",
+                 devices.empty() ? "-" : devices,
+                 o.slo_attainment >= 0 ? StrFormat("%.2f", o.slo_attainment) : "-"});
+  }
+  sink->Print(jobs);
+  TextTable devices({"device", "capacity", "peak used", "avg util (%)", "ext frag (%)", "E (%)",
+                     "ranks", "ooms", "API calls"});
+  for (size_t d = 0; d < day.devices.size(); ++d) {
+    const DeviceMetrics& m = day.devices[d];
+    devices.AddRow({StrFormat("%zu", d), FormatBytes(m.capacity), FormatBytes(m.peak_used),
+                    StrFormat("%.1f", m.avg_utilization * 100.0),
+                    StrFormat("%.1f", m.avg_external_frag * 100.0),
+                    StrFormat("%.1f", m.memory_efficiency * 100.0),
+                    StrFormat("%llu", static_cast<unsigned long long>(m.placements)),
+                    StrFormat("%llu", static_cast<unsigned long long>(m.oom_events)),
+                    StrFormat("%llu", static_cast<unsigned long long>(m.device_api_calls))});
+  }
+  sink->Print(devices);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,7 +113,8 @@ int main(int argc, char** argv) {
   std::string heapmap_path;
   uint64_t heapmap_every = 0;
   std::vector<std::string> allocators;
-  uint64_t capacity = spec.options.capacity_bytes;
+  std::vector<uint64_t> capacities = {spec.options.capacity_bytes};
+  spec.cluster.num_jobs = 10;  // --jobs default: a ten-job cluster day
   uint64_t kv_budget = spec.engine.kv_budget_bytes;
   bool list_allocs = false, list_axes = false, list_models = false, list_scenarios = false,
        list_policies = false;
@@ -91,8 +126,9 @@ int main(int argc, char** argv) {
   flags.Add("--model", &spec.model, "NAME", "model preset (see --list-models)");
   flags.AddList("--alloc", &allocators, "NAME[,NAME...]",
                 "allocator set (see --list-allocs); default torch-caching");
-  flags.AddBytes("--capacity", &capacity, "BYTES",
-                 "device capacity, suffixes K/M/G (cluster: per device)");
+  flags.AddBytesList("--capacity", &capacities, "BYTES[,BYTES...]",
+                     "device capacity, suffixes K/M/G (cluster: per device; a comma list "
+                     "builds a heterogeneous fleet)");
   flags.Add("--run-seed", &spec.options.run_seed, "N", "run-trace seed (repeat r adds r)");
   flags.Add("--profile-seed", &spec.options.profile_seed, "N", "STAlloc profiling seed");
   flags.Add("--repeats", &spec.repeats, "N", "repeats per allocator; repeat r uses run-seed+r");
@@ -111,8 +147,8 @@ int main(int argc, char** argv) {
   flags.Add("--microbatches", &spec.train.num_microbatches, "N", "microbatches per iteration");
   flags.Add("--rank", &spec.train.rank, "N", "simulated pipeline rank (rank axis)");
   flags.Add("--trace-file", &spec.trace_file, "FILE",
-            "replay this trace file instead of the simulated workload (rank axis only; CSV, "
-            "binary v1 or columnar v2 — v2 replays straight from the mmap'd file)");
+            "replay this trace file instead of the simulated workload (rank axis only; CSV "
+            "or columnar v2 — v2 replays straight from the mmap'd file)");
   // Serving shape.
   flags.Add("--scenario", &spec.scenario, "NAME", "serving preset (see --list-scenarios)");
   flags.Add("--requests", &spec.serve_requests, "N", "override the scenario's request count");
@@ -221,6 +257,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cluster-shape flags only apply to --axis cluster\n");
     return 2;
   }
+  if (capacities.size() > 1) {
+    if (spec.axis != WorkloadAxis::kCluster) {
+      std::fprintf(stderr, "a --capacity list only applies to --axis cluster\n");
+      return 2;
+    }
+    if (flags.Seen("--devices") && static_cast<size_t>(spec.devices) != capacities.size()) {
+      std::fprintf(stderr, "--devices %d disagrees with the %zu-entry --capacity list\n",
+                   spec.devices, capacities.size());
+      return 2;
+    }
+    spec.devices = static_cast<int>(capacities.size());
+    spec.device_capacities = capacities;
+  }
   if (spec.axis == WorkloadAxis::kTrainJob && flags.Seen("--rank")) {
     std::fprintf(stderr, "--rank only applies to --axis rank (a job runs every rank)\n");
     return 2;
@@ -232,7 +281,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  spec.options.capacity_bytes = capacity;
+  spec.options.capacity_bytes = capacities.front();
   spec.engine.kv_budget_bytes = kv_budget;
   if (!allocators.empty()) {
     spec.allocators = allocators;
@@ -308,9 +357,13 @@ int main(int argc, char** argv) {
   ReportSink sink("stalloc_run", json_path);
   sink.Meta("spec", SpecMetaJson(spec));
 
+  std::string capacity_label;
+  for (uint64_t c : capacities) {
+    capacity_label += (capacity_label.empty() ? "" : ",") + FormatBytes(c);
+  }
   sink.Printf("stalloc_run — axis=%s model=%s variant=%s capacity=%s seeds=%llu/%llu\n\n",
               WorkloadAxisName(spec.axis), spec.model.c_str(), spec.Variant().c_str(),
-              FormatBytes(spec.options.capacity_bytes).c_str(),
+              capacity_label.c_str(),
               static_cast<unsigned long long>(spec.options.profile_seed),
               static_cast<unsigned long long>(spec.options.run_seed));
 
@@ -318,12 +371,26 @@ int main(int argc, char** argv) {
 
   sink.Print(RecordTable(spec.axis, records));
   for (const RunRecord& r : records) {
+    if (r.cluster.has_value()) {
+      sink.Printf("%s x%d:\n", r.allocator.c_str(), r.repeat);
+      PrintClusterDay(*r.cluster, &sink);
+    }
+  }
+  for (const RunRecord& r : records) {
     sink.Printf("%s x%d: %s\n", r.allocator.c_str(), r.repeat, r.Summary().c_str());
   }
 
   Json results = Json::Array();
   for (const RunRecord& r : records) {
-    results.Add(ToJson(r));
+    Json result = ToJson(r);
+    if (r.cluster.has_value()) {
+      Json outcomes = Json::Array();
+      for (const JobOutcome& o : r.cluster->jobs) {
+        outcomes.Add(ToJson(o));
+      }
+      result.Set("job_outcomes", std::move(outcomes));
+    }
+    results.Add(std::move(result));
   }
   sink.Meta("results", std::move(results));
   int rc = sink.Finish();
