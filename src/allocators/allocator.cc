@@ -237,10 +237,14 @@ void AllocatorBase::RecordTelemetryOom(uint64_t size) {
   }
 }
 
-void AllocatorBase::RecordEmptyCache(uint64_t released) {
+void AllocatorBase::EmptyCache() {
   if (!telemetry::Enabled()) {
+    DoEmptyCache();
     return;
   }
+  const uint64_t before = ReservedBytes();
+  DoEmptyCache();
+  const uint64_t released = before - ReservedBytes();
   auto& registry = telemetry::MetricsRegistry::Global();
   static telemetry::Counter* empties = registry.GetCounter("alloc.empty_cache_calls");
   empties->Add();

@@ -142,6 +142,10 @@ class AllocatorBase : public Allocator {
   std::optional<uint64_t> Malloc(uint64_t size, const RequestContext& ctx) final;
   bool Free(uint64_t addr) final;
   const AllocatorStats& stats() const final { return stats_; }
+  // Runs the policy's DoEmptyCache and emits it once, whole-allocator: alloc.empty_cache_*
+  // counters plus an `empty_cache` instant carrying the drop in ReservedBytes() (no-op with
+  // telemetry off). Internal pressure paths call their policy release, never this.
+  void EmptyCache() final;
 
   // Installs (or clears, with nullptr) the per-op instrumentation hook. At most one hook is
   // active. The hook is one telemetry sink among several: per-op latency measurement is armed
@@ -163,14 +167,11 @@ class AllocatorBase : public Allocator {
  protected:
   virtual std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) = 0;
   virtual void DoFree(uint64_t addr, uint64_t size) = 0;
+  // Releases cached, unused device memory (the policy half of EmptyCache).
+  virtual void DoEmptyCache() {}
 
   // Refreshes the reserved-bytes peak; call after any operation that changes reservations.
   void NotePressure();
-
-  // Emits one EmptyCache of a caching pool that returned `released` bytes to the device
-  // (alloc.empty_cache_* counters plus an `empty_cache` instant; no-op with telemetry off).
-  // The owner calls it, since an embedded CachingPool emits nothing itself.
-  static void RecordEmptyCache(uint64_t released);
 
  private:
   AllocatorSnapshot Snapshot() const {

@@ -8,7 +8,7 @@
 //     requests < 10 MiB (kMinLargeAlloc), else the request rounded up to 2 MiB (kRoundLarge);
 //   * free blocks are kept per (pool, stream) — a freed block is only reusable by requests on
 //     the stream that allocated it, as in PyTorch — and selected best-fit (smallest sufficient
-//     block) through a size-bucketed BestFitIndex (src/allocators/free_index.h);
+//     block, then lowest address);
 //   * an oversized block is split when the remainder is >= 512 B (small pool) or > 1 MiB (large
 //     pool); the remainder stays cached;
 //   * on device OOM the allocator releases all fully-free cached segments (cudaFree) and retries
@@ -22,22 +22,20 @@
 // is AllocatorBase over one CachingPool; STAlloc, GMLake, expandable segments and VMM embed a
 // CachingPool, so each block sits in exactly one ledger, its owner's.
 //
-// Block records live in a slot pool threaded into per-segment doubly-linked lists in address
-// order (as in upstream PyTorch), with a hash map from address to slot: the replay hot path does
-// no ordered-tree walk besides the BestFitIndex size lookup.
+// The blocks themselves live in a BlockTable (src/allocators/block_table.h), the same table
+// GMLake, expandable segments and VMM place their large blocks through: CachingPool supplies
+// only the PyTorch sizes — rounding, segment sizes, the split rule and the pool key — and the
+// device calls.
 
 #ifndef SRC_ALLOCATORS_CACHING_ALLOCATOR_H_
 #define SRC_ALLOCATORS_CACHING_ALLOCATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/allocators/allocator.h"
-#include "src/allocators/free_index.h"
+#include "src/allocators/block_table.h"
 #include "src/common/units.h"
 #include "src/gpu/sim_device.h"
 
@@ -75,57 +73,29 @@ class CachingPool {
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const;
 
   // Introspection for tests.
-  size_t num_segments() const { return segments_.size(); }
+  size_t num_segments() const { return table_.num_segments(); }
   uint64_t cached_free_bytes() const;
   // Rounded request size per the PyTorch rounding rule (exposed for tests).
   uint64_t RoundSize(uint64_t size) const;
 
  private:
-  static constexpr uint32_t kNoBlock = ~uint32_t{0};
-
-  struct Block {
-    uint64_t addr = 0;
-    uint64_t size = 0;      // rounded (physical) size
-    bool free = true;
-    uint32_t segment = 0;   // owning segment index
-    uint32_t prev = kNoBlock;  // address-ordered neighbours within the segment
-    uint32_t next = kNoBlock;
-  };
-  struct Segment {
-    uint64_t base = 0;
-    uint64_t size = 0;
-    bool small = false;
-    bool released = false;
-    StreamId stream = kComputeStream;  // all blocks of a segment belong to one stream
-    uint64_t free_bytes = 0;  // sum of free block bytes inside
-  };
-  // One free index per (pool, stream): PyTorch segregates cached blocks by stream.
-  using PoolKey = std::pair<bool, StreamId>;
-
   bool IsSmall(uint64_t rounded) const { return rounded <= config_.small_size; }
   uint64_t SegmentSizeFor(uint64_t rounded) const;
-  BestFitIndex& FreeListFor(bool small, StreamId stream) {
-    return free_lists_[PoolKey{small, stream}];
+  // PyTorch segregates cached blocks by (pool, stream): one BlockTable free list per pair.
+  static uint64_t PoolKey(bool small, StreamId stream) {
+    return uint64_t{stream} << 1 | static_cast<uint64_t>(small);
   }
-
-  uint32_t NewBlockSlot();
-  void ReleaseBlockSlot(uint32_t slot);
-  uint32_t FindBlock(uint64_t addr) const;
-
-  // Attempts to serve from cached free blocks; nullopt if none fits.
-  std::optional<uint64_t> AllocFromCache(uint64_t rounded, bool small, StreamId stream);
+  // PyTorch should_split: the small pool splits any >= kMinBlockSize remainder, the large pool
+  // only remainders above kSmallSize (1 MiB) to limit large-pool fragmentation.
+  uint64_t MinSplit(bool small) const {
+    return small ? config_.min_block_size : config_.small_size + 1;
+  }
   // Allocates a fresh segment from the device and serves from it.
   std::optional<uint64_t> AllocFromNewSegment(uint64_t rounded, bool small, StreamId stream);
-  void SplitBlock(uint32_t slot, uint64_t want);
-  void Coalesce(uint32_t slot);
 
   SimDevice* device_;
   CachingAllocatorConfig config_;
-  std::vector<Block> blocks_;        // slot pool; free slots recycled via free_slots_
-  std::vector<uint32_t> free_slots_;
-  std::unordered_map<uint64_t, uint32_t> by_addr_;  // block address -> slot
-  std::map<PoolKey, BestFitIndex> free_lists_;
-  std::vector<Segment> segments_;
+  BlockTable table_;
   uint64_t reserved_ = 0;
 };
 
@@ -138,7 +108,6 @@ class CachingAllocator final : public AllocatorBase {
 
   std::string_view name() const override { return "torch-caching"; }
   uint64_t ReservedBytes() const override { return pool_.ReservedBytes(); }
-  void EmptyCache() override { RecordEmptyCache(pool_.EmptyCache()); }
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override {
     pool_.AppendHeapSegments(out);
   }
@@ -150,6 +119,7 @@ class CachingAllocator final : public AllocatorBase {
     return pool_.Malloc(size, ctx.stream);
   }
   void DoFree(uint64_t addr, uint64_t /*size*/) override { pool_.Free(addr); }
+  void DoEmptyCache() override { pool_.EmptyCache(); }
 
  private:
   CachingPool pool_;

@@ -11,6 +11,11 @@
 // isolation: a stream's mapped memory is not reusable by other streams.
 //
 // Small requests (<= 1 MiB) use an embedded classic caching small pool, as in PyTorch.
+//
+// Large blocks are placed through a BlockTable (src/allocators/block_table.h): each stream's
+// mapped prefix [va, va + mapped) is one table segment keyed by the stream, which grows and
+// shrinks at its tail as granules are mapped and unmapped. The allocator keeps only the
+// reservation and the granule handles behind it.
 
 #ifndef SRC_ALLOCATORS_EXPANDABLE_SEGMENTS_H_
 #define SRC_ALLOCATORS_EXPANDABLE_SEGMENTS_H_
@@ -19,11 +24,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <utility>
 #include <vector>
 
+#include "src/allocators/block_table.h"
 #include "src/allocators/caching_allocator.h"
-#include "src/allocators/free_index.h"
 #include "src/gpu/sim_device.h"
 
 namespace stalloc {
@@ -47,7 +51,6 @@ class ExpandableSegmentsAllocator final : public AllocatorBase {
 
   std::string_view name() const override { return "torch-expandable"; }
   uint64_t ReservedBytes() const override;
-  void EmptyCache() override;
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
 
   // Introspection for tests: mapped bytes across all stream segments.
@@ -56,39 +59,38 @@ class ExpandableSegmentsAllocator final : public AllocatorBase {
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
   void DoFree(uint64_t addr, uint64_t size) override;
+  // Returns the small pool's free segments and unmaps every stream's free tail.
+  void DoEmptyCache() override;
 
  private:
-  struct Block {
-    uint64_t off = 0;   // offset within the stream's expandable segment
-    uint64_t size = 0;
-    bool free = true;
-  };
   // Per-stream expandable segment state.
   struct StreamSegment {
     VaPtr va = 0;
     uint64_t va_size = 0;
-    uint64_t mapped_end = 0;  // granularity-aligned mapped frontier
-    std::map<uint64_t, MemHandle> granule_handles;  // offset -> handle (one per granule)
-    std::map<uint64_t, Block> blocks;               // keyed by offset
-    BestFitIndex free_list;
+    uint32_t table_seg = 0;             // BlockTable segment: the mapped prefix of the range
+    std::vector<MemHandle> granules;    // handle mapped at granule i of the mapped prefix
   };
 
   bool IsSmall(uint64_t size) const {
     return AlignUp(std::max(size, uint64_t{512}), 512) <= config_.small_size;
   }
   StreamSegment& SegmentFor(StreamId stream);
-  std::optional<uint64_t> LargeMalloc(StreamSegment& seg, uint64_t rounded);
-  void LargeFree(StreamSegment& seg, uint64_t off);
+  // Bytes mapped at the start of the stream's range (granularity-aligned frontier).
+  uint64_t MappedEnd(const StreamSegment& seg) const {
+    return table_.segment(seg.table_seg).size;
+  }
+  std::optional<uint64_t> LargeMalloc(StreamId stream, uint64_t rounded);
   // Grows the mapped frontier by `bytes` (granularity-rounded). Returns false on device OOM.
   bool Grow(StreamSegment& seg, uint64_t bytes);
-  // Unmaps fully-free granules at the mapped frontier down to the start of the tail free block.
-  void TrimTail(StreamSegment& seg);
-  void Coalesce(StreamSegment& seg, std::map<uint64_t, Block>::iterator it);
+  // When the free tail block is at least `threshold` bytes, unmaps the fully-free granules at
+  // the mapped frontier down to the tail block's start.
+  void TrimTail(StreamSegment& seg, uint64_t threshold);
   void ReleaseSegment(StreamSegment& seg);
 
   SimDevice* device_;
   ExpandableSegmentsConfig config_;
   CachingPool small_pool_;  // requests <= small_size
+  BlockTable table_;        // large blocks; one segment per stream
   std::map<StreamId, StreamSegment> streams_;
 };
 

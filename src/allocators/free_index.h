@@ -1,5 +1,6 @@
-// BestFitIndex: the indexed free-space structure shared by the caching-style allocators
-// (caching_allocator, gmlake, expandable_segments).
+// BestFitIndex: the size-bucketed free list inside BlockTable (src/allocators/block_table.h),
+// the one block table the caching-style allocators (the caching pool, GMLake, expandable
+// segments, VMM) place blocks through. BlockTable keeps one BestFitIndex per pool key.
 //
 // A free block is the pair (size, addr). Best-fit selection — smallest sufficient size, then
 // lowest address — used to walk one flat ordered set over *all* free blocks; under training

@@ -8,19 +8,22 @@
 // MoE's dynamic sizes this churn is the >50% slowdown the paper reports (§9.2).
 //
 // Stitching applies only to requests >= frag_limit (default 512 MiB, per the paper).
+//
+// Large blocks are placed through a BlockTable (src/allocators/block_table.h): each pBlock or
+// sBlock is one table segment keyed by its stream, split and coalesced by the PyTorch
+// large-pool rule. GMLake keeps only what backs a segment — its handle parts and whether it
+// was stitched — indexed by segment id.
 
 #ifndef SRC_ALLOCATORS_GMLAKE_H_
 #define SRC_ALLOCATORS_GMLAKE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <utility>
 #include <vector>
 
+#include "src/allocators/block_table.h"
 #include "src/allocators/caching_allocator.h"
-#include "src/allocators/free_index.h"
 #include "src/gpu/sim_device.h"
 
 namespace stalloc {
@@ -39,7 +42,6 @@ class GMLakeAllocator final : public AllocatorBase {
 
   std::string_view name() const override { return "gmlake"; }
   uint64_t ReservedBytes() const override;
-  void EmptyCache() override;
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
 
   // Introspection for tests / benches.
@@ -48,38 +50,30 @@ class GMLakeAllocator final : public AllocatorBase {
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
   void DoFree(uint64_t addr, uint64_t size) override;
+  void DoEmptyCache() override;
 
  private:
   struct HandlePart {
     MemHandle handle = 0;
     uint64_t size = 0;
   };
-  struct Segment {  // a pBlock or an sBlock
-    VaPtr va = 0;
-    uint64_t size = 0;
+  struct Backing {  // what maps a pBlock or sBlock, indexed by BlockTable segment id
     std::vector<HandlePart> handles;  // mapped consecutively from offset 0
     bool stitched = false;
-    bool released = false;
-    StreamId stream = kComputeStream;
-    uint64_t free_bytes = 0;
-  };
-  struct Block {
-    uint64_t addr = 0;  // absolute virtual address
-    uint64_t size = 0;
-    bool free = true;
-    uint32_t segment = 0;
   };
   bool IsSmall(uint64_t size) const {
     return AlignUp(std::max(size, uint64_t{512}), 512) <= config_.small_size;
   }
   uint64_t SegmentSizeFor(uint64_t rounded) const;
+  // PyTorch large-pool rule: only split off remainders above small_size.
+  uint64_t MinSplit() const { return config_.small_size + 1; }
   std::optional<uint64_t> LargeMalloc(uint64_t rounded, StreamId stream);
-  std::optional<uint64_t> AllocFromCache(uint64_t rounded, StreamId stream);
   std::optional<uint64_t> AllocFromNewSegment(uint64_t rounded, StreamId stream);
   // Stitches fully-free same-stream pBlocks into a new segment holding `rounded`.
   std::optional<uint64_t> AllocByStitching(uint64_t rounded, StreamId stream);
-  void SplitBlock(std::map<uint64_t, Block>::iterator it, uint64_t want);
-  void Coalesce(std::map<uint64_t, Block>::iterator it);
+  // Adds a segment over `va` backed by `parts` and takes `rounded` bytes at its start.
+  uint64_t AddSegmentAndTake(VaPtr va, std::vector<HandlePart> parts, bool stitched,
+                             StreamId stream, uint64_t rounded);
   // Fully-free, not-released segment ids (optionally restricted to one stream).
   std::vector<uint32_t> FreeSegments() const;
   std::vector<uint32_t> FreeSegmentsOfStream(StreamId stream) const;
@@ -90,9 +84,8 @@ class GMLakeAllocator final : public AllocatorBase {
   SimDevice* device_;
   GMLakeConfig config_;
   CachingPool small_pool_;  // requests <= small_size
-  std::vector<Segment> segments_;
-  std::map<uint64_t, Block> blocks_;
-  std::map<StreamId, BestFitIndex> free_lists_;
+  BlockTable table_;        // large blocks; one segment per pBlock/sBlock, keyed by stream
+  std::vector<Backing> backing_;  // per table segment
   uint64_t reserved_large_ = 0;  // physical bytes held by large segments
   uint64_t num_stitches_ = 0;
 };

@@ -57,7 +57,7 @@ std::optional<uint64_t> PagedKVAllocator::DoMalloc(uint64_t size, const RequestC
   // after releasing cached free slabs — mirroring the caching allocator's OOM protocol.
   auto addr = device_->DevMalloc(size);
   if (!addr.has_value()) {
-    EmptyCache();
+    DoEmptyCache();
     addr = device_->DevMalloc(size);
     if (!addr.has_value()) {
       return std::nullopt;
@@ -85,7 +85,7 @@ void PagedKVAllocator::DoFree(uint64_t addr, uint64_t size) {
   passthrough_.erase(pass);
 }
 
-void PagedKVAllocator::EmptyCache() {
+void PagedKVAllocator::DoEmptyCache() {
   std::vector<uint64_t> releasable;
   for (const auto& [base, slab] : slabs_) {
     if (slab.free == slab.blocks) {

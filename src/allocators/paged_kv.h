@@ -44,8 +44,6 @@ class PagedKVAllocator final : public AllocatorBase {
 
   std::string_view name() const override { return "paged-kv"; }
   uint64_t ReservedBytes() const override { return reserved_; }
-  // Releases fully-free slabs back to the device.
-  void EmptyCache() override;
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
 
   // Introspection for tests.
@@ -56,6 +54,8 @@ class PagedKVAllocator final : public AllocatorBase {
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
   void DoFree(uint64_t addr, uint64_t size) override;
+  // Releases fully-free slabs back to the device.
+  void DoEmptyCache() override;
 
  private:
   struct Slab {

@@ -32,39 +32,39 @@ WorkerPool::~WorkerPool() {
   }
 }
 
-void WorkerPool::WorkOn() {
-  const std::function<void(size_t)>* fn = fn_;
-  const size_t n = batch_size_;
-  size_t done_here = 0;
-  for (;;) {
-    const size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) {
-      break;
-    }
+size_t WorkerPool::WorkOn(const std::function<void(size_t)>* fn, size_t n) {
+  size_t done = 0;
+  for (size_t i = next_index_.fetch_add(1, std::memory_order_relaxed); i < n;
+       i = next_index_.fetch_add(1, std::memory_order_relaxed)) {
     (*fn)(i);
-    ++done_here;
+    ++done;
   }
-  if (done_here > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    completed_ += done_here;
-    if (completed_ == n) {
-      done_cv_.notify_all();
-    }
-  }
+  return done;
 }
 
 void WorkerPool::ThreadMain() {
   uint64_t seen_batch = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || batch_id_ != seen_batch; });
-      if (shutdown_) {
-        return;
-      }
-      seen_batch = batch_id_;
+    work_cv_.wait(lock, [&] { return shutdown_ || batch_id_ != seen_batch; });
+    if (shutdown_) {
+      return;
     }
-    WorkOn();
+    seen_batch = batch_id_;
+    // The batch is read under the lock, and ParallelFor publishes no new batch while a worker
+    // is active, so this worker's fn and n always belong to the counter it pulls from. A
+    // worker joining after its batch drained pulls no index and never calls fn.
+    const std::function<void(size_t)>* fn = fn_;
+    const size_t n = batch_size_;
+    ++active_;
+    lock.unlock();
+    const size_t done = WorkOn(fn, n);
+    lock.lock();
+    --active_;
+    completed_ += done;
+    if (active_ == 0 || completed_ == batch_size_) {
+      done_cv_.notify_all();
+    }
   }
 }
 
@@ -79,7 +79,10 @@ void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    // Workers still leaving the previous batch hold its size; let them go before the index
+    // counter restarts.
+    done_cv_.wait(lock, [&] { return active_ == 0; });
     fn_ = &fn;
     batch_size_ = n;
     completed_ = 0;
@@ -87,8 +90,9 @@ void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     ++batch_id_;
   }
   work_cv_.notify_all();
-  WorkOn();  // the caller pulls indices too
+  const size_t done = WorkOn(&fn, n);  // the caller pulls indices too
   std::unique_lock<std::mutex> lock(mu_);
+  completed_ += done;
   done_cv_.wait(lock, [&] { return completed_ == batch_size_; });
   fn_ = nullptr;
 }

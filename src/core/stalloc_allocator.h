@@ -69,7 +69,6 @@ class STAllocAllocator final : public AllocatorBase {
 
   std::string_view name() const override { return "stalloc"; }
   uint64_t ReservedBytes() const override;
-  void EmptyCache() override { RecordEmptyCache(fallback_.EmptyCache()); }
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
   // Resets the matcher and the per-layer dynamic counters for the next iteration.
   void EndIteration() override;
@@ -80,6 +79,8 @@ class STAllocAllocator final : public AllocatorBase {
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
   void DoFree(uint64_t addr, uint64_t size) override;
+  // The static pool stays reserved until destruction; only the fallback releases.
+  void DoEmptyCache() override { fallback_.EmptyCache(); }
 
  private:
   bool InPool(uint64_t addr) const {

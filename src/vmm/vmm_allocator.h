@@ -1,8 +1,10 @@
 // VmmAllocator: a two-level virtual-memory allocator over VaSpace + PhysHandlePool.
 //
-// Level 1 reserves one large VA range up front (VaSpace) and keeps a best-fit block map over it
-// — placement is pure address arithmetic inside the reservation, so virtual fragmentation is
-// the only placement constraint and it is bounded by the reservation size, not by capacity.
+// Level 1 reserves one large VA range up front (VaSpace) and places blocks in it best-fit
+// through a BlockTable (src/allocators/block_table.h) holding the reservation as its one
+// segment — placement is pure address arithmetic inside the reservation, so virtual
+// fragmentation is the only placement constraint and it is bounded by the reservation size,
+// not by capacity.
 // Level 2 backs only the pages that live blocks actually touch with fixed-granularity physical
 // handles (PhysHandlePool), mapped lazily and reference-counted per page.
 //
@@ -22,15 +24,14 @@
 #define SRC_VMM_VMM_ALLOCATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "src/allocators/allocator.h"
+#include "src/allocators/block_table.h"
 #include "src/allocators/caching_allocator.h"
-#include "src/allocators/free_index.h"
 #include "src/gpu/sim_device.h"
 #include "src/vmm/phys_handle_pool.h"
 #include "src/vmm/va_space.h"
@@ -69,7 +70,6 @@ class VmmAllocator : public AllocatorBase {
 
   std::string_view name() const override { return "vmm"; }
   uint64_t ReservedBytes() const override;
-  void EmptyCache() override;
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
 
   const VmmStats& vmm_stats() const { return vmm_stats_; }
@@ -79,18 +79,15 @@ class VmmAllocator : public AllocatorBase {
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
   void DoFree(uint64_t addr, uint64_t size) override;
+  // Returns the small pool's free segments, unmaps every idle page and trims the handle cache.
+  void DoEmptyCache() override;
 
  private:
-  struct Block {
-    uint64_t off = 0;
-    uint64_t size = 0;
-    bool free = false;
-  };
-
   bool IsSmall(uint64_t size) const {
     return config_.small_size != 0 && size <= config_.small_size;
   }
 
+  // Places `rounded` bytes in the reservation and maps its pages; returns the address.
   std::optional<uint64_t> LargeMalloc(uint64_t rounded);
   // Backs every page of [off, off+size) with a handle. Bumps the block's page references up
   // front, so pressure-stealing never targets the pages being mapped; on failure unwinds both
@@ -103,7 +100,6 @@ class VmmAllocator : public AllocatorBase {
   // toward low addresses). nullopt if every mapped page is referenced.
   std::optional<uint64_t> FindIdlePage() const;
   void AddRefs(uint64_t off, uint64_t size, int delta);
-  void Coalesce(std::map<uint64_t, Block>::iterator it);
   // Unmaps every refcount-0 mapped page, returning handles to the pool.
   void ReleaseIdlePages();
 
@@ -112,8 +108,7 @@ class VmmAllocator : public AllocatorBase {
   CachingPool small_pool_;  // requests <= small_size; unused when small_size == 0
   std::unique_ptr<VaSpace> va_;
   std::unique_ptr<PhysHandlePool> pool_;
-  std::map<uint64_t, Block> blocks_;  // offset -> block, covering [0, va_size)
-  BestFitIndex free_list_;
+  BlockTable table_;  // large blocks; one segment, the whole reservation, under key 0
   std::vector<uint32_t> page_refs_;  // per page: live large blocks overlapping it
   VmmStats vmm_stats_;
 };

@@ -418,6 +418,7 @@ TEST_F(TelemetryTest, FlightRecorderEvictsPastLimit) {
 TEST_F(TelemetryTest, LatencyHistogramsFillWithoutAHook) {
   constexpr uint64_t kOps = 32;
   constexpr uint64_t kSmall = 4 * KiB;
+  constexpr uint64_t kLarge = 32 * MiB;
   for (const std::string& kind : KindsUnderTest()) {
     SCOPED_TRACE(kind);
     ResetAll();
@@ -426,10 +427,13 @@ TEST_F(TelemetryTest, LatencyHistogramsFillWithoutAHook) {
     std::unique_ptr<Allocator> alloc = MakeAllocator(kind, &device);
     ASSERT_NE(alloc, nullptr);
 
+    // kOps small blocks plus one large block, which lands outside any small pool: in gmlake's
+    // pBlocks, expandable's mapped tail, vmm's pages, paged-kv's passthrough.
     std::vector<uint64_t> addrs;
     for (uint64_t i = 0; i < kOps; ++i) {
       addrs.push_back(alloc->Malloc(kSmall).value());
     }
+    addrs.push_back(alloc->Malloc(kLarge).value());
     for (uint64_t addr : addrs) {
       ASSERT_TRUE(alloc->Free(addr));
     }
@@ -439,20 +443,24 @@ TEST_F(TelemetryTest, LatencyHistogramsFillWithoutAHook) {
     EXPECT_GT(alloc->stats().free_latency_us, 0.0);
     // ...and the registry saw exactly the same ops, once each: a nested pool adds nothing.
     auto& registry = MetricsRegistry::Global();
-    EXPECT_EQ(registry.GetHistogram("alloc.malloc_latency_us")->count(), kOps);
-    EXPECT_EQ(registry.GetHistogram("alloc.free_latency_us")->count(), kOps);
-    EXPECT_EQ(registry.GetCounter("alloc.mallocs")->value(), kOps);
-    EXPECT_EQ(registry.GetCounter("alloc.frees")->value(), kOps);
-    EXPECT_EQ(registry.GetCounter("alloc.bytes_allocated")->value(), kOps * kSmall);
-    EXPECT_EQ(registry.GetCounter("alloc.bytes_freed")->value(), kOps * kSmall);
+    EXPECT_EQ(registry.GetHistogram("alloc.malloc_latency_us")->count(), kOps + 1);
+    EXPECT_EQ(registry.GetHistogram("alloc.free_latency_us")->count(), kOps + 1);
+    EXPECT_EQ(registry.GetCounter("alloc.mallocs")->value(), kOps + 1);
+    EXPECT_EQ(registry.GetCounter("alloc.frees")->value(), kOps + 1);
+    EXPECT_EQ(registry.GetCounter("alloc.bytes_allocated")->value(), kOps * kSmall + kLarge);
+    EXPECT_EQ(registry.GetCounter("alloc.bytes_freed")->value(), kOps * kSmall + kLarge);
 
-    // EmptyCache is reported by the allocator that owns the caching pool, once, with the
-    // small segment the 4 KiB blocks were carved from. native and paged-kv have no such pool.
+    // EmptyCache is reported once per call by every kind, for the whole allocator: the bytes
+    // are the drop in ReservedBytes(), whichever pool, slab, tail or page cache held them.
+    const uint64_t before = alloc->ReservedBytes();
     alloc->EmptyCache();
-    const bool pooled = kind != "native" && kind != "paged-kv";
-    EXPECT_EQ(registry.GetCounter("alloc.empty_cache_calls")->value(), pooled ? 1u : 0u);
-    EXPECT_EQ(registry.GetCounter("alloc.empty_cache_bytes")->value(),
-              pooled ? CachingAllocatorConfig{}.small_buffer : 0u);
+    const uint64_t dropped = before - alloc->ReservedBytes();
+    EXPECT_EQ(registry.GetCounter("alloc.empty_cache_calls")->value(), 1u);
+    EXPECT_EQ(registry.GetCounter("alloc.empty_cache_bytes")->value(), dropped);
+    if (kind == "gmlake" || kind == "torch-expandable" || kind == "vmm" || kind == "paged-kv") {
+      EXPECT_GT(dropped, 0u) << "EmptyCache must release what this kind caches outside a "
+                                "small pool";
+    }
   }
 }
 
