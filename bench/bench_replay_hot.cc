@@ -1,6 +1,7 @@
-// Replay-engine hot-path throughput: simulator ops/sec through the unified streaming replay
-// core (src/replay/) for every registered allocator — the perf baseline that gates any further
-// work on the free-space hot paths.
+// Replay-engine hot path: the million-op replay throughput and peak RSS of the unified
+// streaming replay core (src/replay/), plus behavioural pins (ops, Mr, E) for every registered
+// allocator on the storm and train streams. Per-kind op cost is perfbench's job
+// (allocators.policy_ns_per_op.<kind>); these stream rows are replayed once and carry no timing.
 //
 // Sections:
 //   * replay_1m — the million-op headline: a 1M-op storm generated straight to an mmap-streamed
@@ -19,10 +20,10 @@
 //   * file — optional (--trace FILE): replay a trace from disk; columnar v2 files replay
 //     straight from the mmap'd view, csv/bin traces are read and replayed owned.
 //
-// Timing wraps the whole ReplayTrace call (engine + driver bookkeeping), best of --repeats
-// fresh-allocator runs — directly comparable across revisions of the replay/allocator stack.
-// Allocators are constructed by registry name, so a newly registered kind shows up here with no
-// bench change.
+// replay_1m timing wraps the whole ReplayTrace call (engine + driver bookkeeping), best of
+// --repeats fresh-allocator runs — directly comparable across revisions of the replay/allocator
+// stack. Allocators are constructed by registry name, so a newly registered kind shows up here
+// with no bench change.
 //
 //   bench_replay_hot [--events N | --ops N] [--repeats N] [--trace FILE] [--json FILE]
 //   ("-" = JSON to stdout)
@@ -62,15 +63,8 @@ struct HotResult {
   bool skipped = false;  // kind not runnable on this stream (STAlloc on the unphased storm)
   bool oom = false;
   uint64_t ops = 0;
-  double best_wall_seconds = 0;
-  double ops_per_sec = 0;
   uint64_t reserved_peak = 0;
   double memory_efficiency = 1.0;
-  // Offline-stage wall clock of the plan-pipeline kinds (0 for the baseline allocators) —
-  // the same phase attribution RunRecord::phases carries, so the bench JSON can be compared
-  // against stalloc_run output key-for-key.
-  double profile_ms = 0;
-  double plan_ms = 0;
 };
 
 struct StreamRun {
@@ -80,77 +74,63 @@ struct StreamRun {
   std::vector<HotResult> results;
 };
 
-// One timed pass over either source: `iterations` back-to-back ReplayTrace calls into `alloc`
-// (caches persist across iterations, as in training). Exactly one of trace/view is non-null;
-// decisions are bit-identical either way. Returns false on OOM.
-bool TimedReplay(const Trace* trace, const TraceView* view, Allocator* alloc, int iterations,
-                 HotResult* out) {
-  Stopwatch timer;
+// `iterations` back-to-back ReplayTrace calls into `alloc` (caches persist across iterations, as
+// in training). Exactly one of trace/view is non-null; decisions are bit-identical either way.
+// Returns the ops replayed, stopping at the first failed malloc (*oom set).
+uint64_t Replay(const Trace* trace, const TraceView* view, Allocator* alloc, int iterations,
+                bool* oom) {
   uint64_t ops = 0;
   for (int i = 0; i < iterations; ++i) {
     ReplayResult r = view != nullptr ? ReplayTrace(*view, alloc) : ReplayTrace(*trace, alloc);
     ops += r.num_mallocs + r.num_frees;
     if (r.oom) {
-      out->oom = true;
-      out->ops = ops;
-      return false;
+      *oom = true;
+      break;
     }
   }
-  const double wall = timer.ElapsedSeconds();
-  out->ops = ops;
-  if (out->best_wall_seconds == 0 || wall < out->best_wall_seconds) {
-    out->best_wall_seconds = wall;
-  }
-  return true;
+  return ops;
 }
 
 HotResult RunEntry(const AllocatorRegistry::Entry& entry, const Trace* trace,
-                   const TraceView* view, int iterations, int repeats) {
+                   const TraceView* view, int iterations) {
   HotResult out;
   out.allocator = entry.name;
 
   SynthesisResult synthesis;
   if (entry.requires_plan) {
-    // Plan once (offline stage, not timed); each repeat replays against a fresh pool. The
-    // planner needs a materialized trace — the replay itself still runs from the view.
+    // The planner needs a materialized trace — the replay itself still runs from the view.
     ProfileResult profile =
         view != nullptr ? ProfileTrace(view->Materialize(), kCapacity) : ProfileTrace(*trace, kCapacity);
-    out.profile_ms = profile.wall_ms;
     if (!profile.feasible) {
       out.skipped = true;
       return out;
     }
     synthesis = SynthesizePlan(profile.trace);
-    out.plan_ms = synthesis.stats.synthesis_ms;
   }
 
-  for (int rep = 0; rep < repeats; ++rep) {
-    SimDevice device(kCapacity);
-    std::unique_ptr<Allocator> alloc;
-    if (entry.requires_plan) {
-      auto st = std::make_unique<STAllocAllocator>(&device, synthesis.plan, synthesis.dyn_space,
-                                                   PlanKindConfig(entry.name));
-      if (!st->Init()) {
-        out.oom = true;
-        return out;
-      }
-      alloc = std::move(st);
-    } else {
-      alloc = AllocatorRegistry::Global().Create(entry.name, &device);
-    }
-    if (!TimedReplay(trace, view, alloc.get(), iterations, &out)) {
+  SimDevice device(kCapacity);
+  std::unique_ptr<Allocator> alloc;
+  if (entry.requires_plan) {
+    auto st = std::make_unique<STAllocAllocator>(&device, synthesis.plan, synthesis.dyn_space,
+                                                 PlanKindConfig(entry.name));
+    if (!st->Init()) {
+      out.oom = true;
       return out;
     }
+    alloc = std::move(st);
+  } else {
+    alloc = AllocatorRegistry::Global().Create(entry.name, &device);
+  }
+  out.ops = Replay(trace, view, alloc.get(), iterations, &out.oom);
+  if (!out.oom) {
     out.reserved_peak = alloc->stats().reserved_peak;
     out.memory_efficiency = alloc->stats().MemoryEfficiency();
   }
-  out.ops_per_sec =
-      out.best_wall_seconds > 0 ? static_cast<double>(out.ops) / out.best_wall_seconds : 0;
   return out;
 }
 
 StreamRun RunStream(const std::string& name, const Trace* trace, const TraceView* view,
-                    int iterations, int repeats, bool include_stalloc, ReportSink& sink) {
+                    int iterations, bool include_stalloc, ReportSink& sink) {
   StreamRun run;
   run.stream = name;
   run.trace_events = view != nullptr ? view->num_events() : trace->size();
@@ -160,22 +140,21 @@ StreamRun RunStream(const std::string& name, const Trace* trace, const TraceView
               name.c_str(), static_cast<unsigned long long>(run.trace_events), iterations,
               static_cast<unsigned long long>(run.trace_events * 2 * iterations),
               view != nullptr ? " (mmap'd v2 view)" : "");
-  TextTable table({"allocator", "ops", "best wall (ms)", "Mops/s", "Mr", "E (%)"});
+  TextTable table({"allocator", "ops", "Mr", "E (%)"});
   for (const std::string& alloc_name : AllocatorRegistry::Global().Names()) {
     const AllocatorRegistry::Entry& entry = *AllocatorRegistry::Global().Find(alloc_name);
     if (entry.requires_plan && !include_stalloc) {
       continue;
     }
-    HotResult r = RunEntry(entry, trace, view, iterations, repeats);
+    HotResult r = RunEntry(entry, trace, view, iterations);
     if (r.skipped) {
-      table.AddRow({r.allocator, "-", "-", "skipped", "-", "-"});
+      table.AddRow({r.allocator, "skipped", "-", "-"});
     } else if (r.oom) {
-      table.AddRow({r.allocator, StrFormat("%llu", static_cast<unsigned long long>(r.ops)), "-",
-                    "OOM", "-", "-"});
+      table.AddRow({r.allocator, StrFormat("%llu", static_cast<unsigned long long>(r.ops)),
+                    "OOM", "-"});
     } else {
       table.AddRow({r.allocator, StrFormat("%llu", static_cast<unsigned long long>(r.ops)),
-                    StrFormat("%.2f", r.best_wall_seconds * 1e3),
-                    StrFormat("%.2f", r.ops_per_sec / 1e6), FormatBytes(r.reserved_peak),
+                    FormatBytes(r.reserved_peak),
                     StrFormat("%.1f", r.memory_efficiency * 100.0)});
     }
     run.results.push_back(std::move(r));
@@ -196,12 +175,8 @@ Json StreamJson(const StreamRun& run) {
     result.Set("skipped", r.skipped);
     result.Set("oom", r.oom);
     result.Set("ops", r.ops);
-    result.Set("best_wall_seconds", r.best_wall_seconds);
-    result.Set("ops_per_sec", r.ops_per_sec);
     result.Set("reserved_peak", r.reserved_peak);
     result.Set("memory_efficiency", r.memory_efficiency);
-    result.Set("profile_ms", r.profile_ms);
-    result.Set("plan_ms", r.plan_ms);
     results.Add(std::move(result));
   }
   j.Set("results", std::move(results));
@@ -225,17 +200,22 @@ uint64_t DigestRun(const Trace* trace, const TraceView* view) {
 
 // Best-of-`repeats` wall time for a single torch-caching replay of the 1M-op stream.
 double BestWall(const Trace* trace, const TraceView* view, int repeats, bool* oom) {
-  HotResult scratch;
+  double best = 0;
   for (int rep = 0; rep < repeats; ++rep) {
     SimDevice device(kCapacity);
     std::unique_ptr<Allocator> alloc =
         AllocatorRegistry::Global().Create("torch-caching", &device);
-    if (!TimedReplay(trace, view, alloc.get(), 1, &scratch)) {
-      *oom = true;
+    Stopwatch timer;
+    Replay(trace, view, alloc.get(), 1, oom);
+    const double wall = timer.ElapsedSeconds();
+    if (*oom) {
       return 0;
     }
+    if (best == 0 || wall < best) {
+      best = wall;
+    }
   }
-  return scratch.best_wall_seconds;
+  return best;
 }
 
 // The million-op headline section. Must run before any other stream: PeakRssBytes (VmHWM) is
@@ -328,10 +308,11 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string trace_path;
   FlagParser flags("bench_replay_hot",
-                   "Replay-engine ops/sec for every registered allocator kind.");
+                   "Million-op replay throughput and per-kind Mr/E pins of the replay engine.");
   flags.Add("--events", &events, "N", "storm trace events (2 ops per event)");
   flags.Add("--ops", &opt_ops, "N", "storm trace size in ops (overrides --events)");
-  flags.Add("--repeats", &repeats, "N", "fresh-allocator repetitions, best wall time kept");
+  flags.Add("--repeats", &repeats, "N",
+            "replay_1m fresh-allocator repetitions, best wall time kept");
   flags.Add("--trace", &trace_path, "FILE",
             "also replay this trace file (v2 replays from the mmap'd view)");
   flags.Add("--json", &json_path, "FILE", "machine-readable summary ('-' = stdout)");
@@ -360,7 +341,7 @@ int main(int argc, char** argv) {
   std::vector<StreamRun> runs;
   const Trace storm = BuildStormTrace(events, 42);
   runs.push_back(
-      RunStream("storm", &storm, nullptr, 1, repeats, /*include_stalloc=*/false, sink));
+      RunStream("storm", &storm, nullptr, 1, /*include_stalloc=*/false, sink));
 
   TrainConfig config;
   config.parallel.pp = 2;
@@ -372,7 +353,7 @@ int main(int argc, char** argv) {
   const int iterations =
       std::max<int>(1, static_cast<int>(events / (train.size() > 0 ? train.size() : 1)));
   runs.push_back(
-      RunStream("train", &train, nullptr, iterations, repeats, /*include_stalloc=*/true, sink));
+      RunStream("train", &train, nullptr, iterations, /*include_stalloc=*/true, sink));
 
   // Optional on-disk trace: the v2 path exercises exactly what stalloc_run --trace-file does.
   Trace file_trace;
@@ -395,7 +376,7 @@ int main(int argc, char** argv) {
     const bool has_phases =
         use_view ? !file_view.phases().empty() : !file_trace.phases().empty();
     runs.push_back(RunStream("file", use_view ? nullptr : &file_trace,
-                             use_view ? &file_view : nullptr, 1, repeats,
+                             use_view ? &file_view : nullptr, 1,
                              /*include_stalloc=*/has_phases, sink));
   }
 

@@ -2,7 +2,7 @@
 // framework would through the PluggableAllocator interface, and reports the outcome.
 //
 // This is a thin wrapper over the unified streaming replay core (src/replay/replay_engine.h) —
-// one single-tenant source, abort-on-OOM policy — kept as the stable entry point of the
+// one single-tenant source, abort-on-OOM — kept as the stable entry point of the
 // training/serving experiment pipelines.
 
 #ifndef SRC_DRIVER_REPLAY_H_
@@ -27,7 +27,6 @@ struct ReplayResult {
   uint64_t reserved_peak = 0;   // Mr
   double memory_efficiency = 1.0;
   double replay_wall_seconds = 0;  // host time inside the replay engine
-  double replay_ops_per_sec = 0;   // simulator throughput of this replay
 
   std::string ToString() const;
 };

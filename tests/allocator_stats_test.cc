@@ -1,11 +1,13 @@
 // Coverage for the instrumented Allocator interface (src/allocators/allocator.h): the built-in
-// AllocatorStats counters (bytes moved, per-op latency) and the AllocatorStatsHook per-op
-// observer — the instrumentation every driver now reads instead of keeping its own counters —
-// and the memory-stomping detector AllocatorBase::Malloc runs on every returned block.
+// AllocatorStats counters every driver reads instead of keeping its own, the ledger's refusal of
+// unknown and double frees on every registry kind, and the memory-stomping detector
+// AllocatorBase::Malloc runs on every returned block.
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -15,33 +17,14 @@
 #include "src/allocators/allocator.h"
 #include "src/allocators/caching_allocator.h"
 #include "src/allocators/native_allocator.h"
+#include "src/allocators/registry.h"
 #include "src/common/units.h"
 #include "src/gpu/sim_device.h"
 
 namespace stalloc {
 namespace {
 
-class RecordingHook : public AllocatorStatsHook {
- public:
-  struct Op {
-    char kind;  // 'm', 'f', 'o'
-    uint64_t size;
-    double latency_us;
-    AllocatorSnapshot after;
-  };
-  void OnMalloc(uint64_t size, double latency_us, const AllocatorSnapshot& after) override {
-    ops.push_back({'m', size, latency_us, after});
-  }
-  void OnFree(uint64_t size, double latency_us, const AllocatorSnapshot& after) override {
-    ops.push_back({'f', size, latency_us, after});
-  }
-  void OnOom(uint64_t size, const AllocatorSnapshot& at) override {
-    ops.push_back({'o', size, 0, at});
-  }
-  std::vector<Op> ops;
-};
-
-TEST(AllocatorStats, BytesMovedAccumulateWithoutAHook) {
+TEST(AllocatorStats, BytesMovedAccumulate) {
   SimDevice dev(1 * GiB);
   NativeAllocator alloc(&dev);
   auto a = alloc.Malloc(10 * MiB);
@@ -54,59 +37,55 @@ TEST(AllocatorStats, BytesMovedAccumulateWithoutAHook) {
   EXPECT_EQ(s.bytes_freed_total, 10 * MiB);
   EXPECT_EQ(s.allocated_current, 6 * MiB);
   EXPECT_EQ(s.live_blocks, 1u);
-  // Latency measurement stays off while nobody listens.
-  EXPECT_EQ(s.malloc_latency_us, 0.0);
-  EXPECT_EQ(s.free_latency_us, 0.0);
 }
 
-TEST(AllocatorStats, HookSeesEveryOpWithConsistentSnapshots) {
-  SimDevice dev(1 * GiB);
-  CachingAllocator alloc(&dev);
-  RecordingHook hook;
-  alloc.SetStatsHook(&hook);
+void ExpectSameStats(const AllocatorStats& a, const AllocatorStats& b) {
+  EXPECT_EQ(a.allocated_current, b.allocated_current);
+  EXPECT_EQ(a.allocated_peak, b.allocated_peak);
+  EXPECT_EQ(a.reserved_peak, b.reserved_peak);
+  EXPECT_EQ(a.num_mallocs, b.num_mallocs);
+  EXPECT_EQ(a.num_frees, b.num_frees);
+  EXPECT_EQ(a.num_oom, b.num_oom);
+  EXPECT_EQ(a.live_blocks, b.live_blocks);
+  EXPECT_EQ(a.bytes_allocated_total, b.bytes_allocated_total);
+  EXPECT_EQ(a.bytes_freed_total, b.bytes_freed_total);
+}
 
-  auto a = alloc.Malloc(8 * MiB);
-  auto b = alloc.Malloc(3 * MiB);
-  ASSERT_TRUE(a.has_value() && b.has_value());
-  alloc.Free(*a);
-  alloc.Free(*b);
+// An unknown, interior or double Free returns false and mutates nothing, on every kind a fleet
+// device can front: the ledger in AllocatorBase::Free refuses it before the policy sees it.
+TEST(AllocatorStats, UnknownInteriorAndDoubleFreesMutateNothing) {
+  for (const std::string& kind : AllocatorRegistry::Global().Names(/*include_plan_kinds=*/false)) {
+    SCOPED_TRACE(kind);
+    SimDevice dev(256 * MiB);
+    std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create(kind, &dev);
+    ASSERT_NE(alloc, nullptr);
+    std::vector<uint64_t> addrs;
+    for (uint64_t size : {4 * KiB, 3 * MiB, 24 * MiB}) {
+      const std::optional<uint64_t> addr = alloc->Malloc(size);
+      ASSERT_TRUE(addr.has_value()) << size;
+      addrs.push_back(*addr);
+    }
+    // Each refused call leaves the stats (live_blocks included) and the reservation as it found
+    // them.
+    const auto expect_refused = [&](uint64_t addr, const char* what) {
+      SCOPED_TRACE(what);
+      const AllocatorStats before = alloc->stats();
+      const uint64_t reserved = alloc->ReservedBytes();
+      EXPECT_FALSE(alloc->Free(addr));
+      ExpectSameStats(alloc->stats(), before);
+      EXPECT_EQ(alloc->ReservedBytes(), reserved);
+    };
+    expect_refused(uint64_t{1} << 62, "never returned");
+    expect_refused(addrs[0] + 1, "interior");
+    ASSERT_TRUE(alloc->Free(addrs[2]));
+    expect_refused(addrs[2], "double");
+    EXPECT_EQ(alloc->stats().live_blocks, 2u);
 
-  ASSERT_EQ(hook.ops.size(), 4u);
-  EXPECT_EQ(hook.ops[0].kind, 'm');
-  EXPECT_EQ(hook.ops[0].size, 8 * MiB);
-  EXPECT_EQ(hook.ops[0].after.allocated, 8 * MiB);
-  EXPECT_EQ(hook.ops[1].after.allocated, 11 * MiB);
-  EXPECT_EQ(hook.ops[2].kind, 'f');
-  EXPECT_EQ(hook.ops[2].after.allocated, 3 * MiB);
-  EXPECT_EQ(hook.ops[3].after.allocated, 0u);
-  for (size_t i = 0; i < hook.ops.size(); ++i) {
-    EXPECT_GE(hook.ops[i].latency_us, 0.0) << i;
-    EXPECT_EQ(hook.ops[i].after.op_index, i + 1) << i;
-    EXPECT_GE(hook.ops[i].after.reserved, hook.ops[i].after.allocated) << i;
-    EXPECT_GE(hook.ops[i].after.Fragmentation(), 0.0) << i;
+    // The refused frees left the ledger intact: the live blocks still free exactly once.
+    EXPECT_TRUE(alloc->Free(addrs[0]));
+    EXPECT_TRUE(alloc->Free(addrs[1]));
+    EXPECT_EQ(alloc->stats().allocated_current, 0u);
   }
-  // While the hook is installed, per-op wall time accumulates into the shared stats.
-  EXPECT_GT(alloc.stats().malloc_latency_us, 0.0);
-  EXPECT_GT(alloc.stats().free_latency_us, 0.0);
-}
-
-TEST(AllocatorStats, HookObservesOomAndClearingStopsDelivery) {
-  SimDevice dev(16 * MiB);
-  NativeAllocator alloc(&dev);
-  RecordingHook hook;
-  alloc.SetStatsHook(&hook);
-
-  EXPECT_FALSE(alloc.Malloc(64 * MiB).has_value());
-  ASSERT_EQ(hook.ops.size(), 1u);
-  EXPECT_EQ(hook.ops[0].kind, 'o');
-  EXPECT_EQ(hook.ops[0].size, 64 * MiB);
-  EXPECT_EQ(alloc.stats().num_oom, 1u);
-
-  alloc.SetStatsHook(nullptr);
-  auto a = alloc.Malloc(1 * MiB);
-  ASSERT_TRUE(a.has_value());
-  alloc.Free(*a);
-  EXPECT_EQ(hook.ops.size(), 1u);  // no further deliveries after the hook is cleared
 }
 
 // Returns whatever addresses it is scripted to, overlapping or not: the stomping detector in

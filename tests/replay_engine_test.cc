@@ -1,7 +1,7 @@
 // Coverage for src/replay/replay_engine.*: the unified streaming replay core every replay
 // (ReplayTrace, the Session pipeline, the cluster Fleet) now routes through. Exercises global
-// (time, source) op ordering, tenant-gang unwinding, the three shared OOM policies
-// (abort / requeue / preempt-with-recompute), restart semantics and the observer surface.
+// (time, source) op ordering, both OOM reactions (abort the run; park the source until the
+// coordinator's AbortTenant unwinds its tenant gang) and the observer surface.
 
 #include <cstdint>
 #include <utility>
@@ -159,7 +159,7 @@ TEST(ReplayEngine, ZeroOpSourceIsImmediatelyDone) {
   const size_t id = engine.AddSource(src);
   EXPECT_TRUE(engine.progress(id).done);
   EXPECT_EQ(engine.active_sources(), 0u);
-  EXPECT_FALSE(engine.HasPending());
+  EXPECT_EQ(engine.NextOpTime(), ReplayEngine::kNoPendingOp);
 }
 
 TEST(ReplayEngine, DefaultPolicyAbortsRunOnFirstOomAndUnwinds) {
@@ -182,237 +182,6 @@ TEST(ReplayEngine, DefaultPolicyAbortsRunOnFirstOomAndUnwinds) {
   EXPECT_EQ(alloc.stats().allocated_current, 0u);
 }
 
-TEST(ReplayEngine, SkipOpPolicyDropsTheOpAndItsFree) {
-  class SkipAll : public ReplayObserver {
-   public:
-    OomAction OnOom(ReplayEngine&, const ReplayOpView&) override { return OomAction::kSkipOp; }
-  };
-  const Trace trace = MakeTrace({{6 * GiB, 0, 10}, {6 * GiB, 1, 5}, {1 * GiB, 2, 10}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  SkipAll skip;
-  ReplayEngine engine(&skip);
-  ReplaySource src;
-  src.trace = &trace;
-  src.alloc = &alloc;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-  EXPECT_TRUE(r.oom);
-  EXPECT_FALSE(r.aborted);
-  EXPECT_EQ(r.oom_events, 1u);
-  EXPECT_EQ(r.num_mallocs, 3u);  // attempts, including the failed one
-  EXPECT_EQ(r.num_frees, 2u);    // the dropped op's free is silently skipped
-  EXPECT_EQ(r.ops_replayed, 6u); // the stream still drains completely
-  EXPECT_TRUE(engine.progress(0).done);
-}
-
-TEST(ReplayEngine, RequeuePolicyParksTenantUntilMemoryFrees) {
-  const Trace a = MakeTrace({{6 * GiB, 1, 10}});
-  const Trace b = MakeTrace({{6 * GiB, 2, 12}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kRequeue, /*max_retries=*/2);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);  // tenant 1's first attempt failed...
-  EXPECT_FALSE(r.aborted);
-  EXPECT_EQ(policy.requeues(), 1u);
-  EXPECT_EQ(policy.rejected_tenants(), 0u);
-  EXPECT_EQ(policy.oom_count(1), 1);
-  // ...but it was re-admitted when tenant 0 completed, and both finished.
-  EXPECT_TRUE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).done);
-  EXPECT_EQ(engine.progress(1).restarts, 1);
-  // The restart replays the whole stream at the tick the memory freed (t=10): its ops land at
-  // 10+2 and 10+12.
-  EXPECT_EQ(r.end_time, 22u);
-  EXPECT_EQ(alloc.stats().allocated_current, 0u);
-}
-
-TEST(ReplayEngine, RequeueWithNothingElseRunningRejects) {
-  const Trace trace = MakeTrace({{6 * GiB, 0, 10}, {6 * GiB, 1, 10}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kRequeue, /*max_retries=*/2);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.trace = &trace;
-  src.alloc = &alloc;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-  EXPECT_TRUE(r.oom);
-  EXPECT_FALSE(r.aborted);
-  EXPECT_EQ(policy.requeues(), 0u);
-  EXPECT_EQ(policy.rejected_tenants(), 1u);  // retrying alone can never free memory
-  EXPECT_TRUE(engine.progress(0).aborted);
-  EXPECT_FALSE(engine.progress(0).done);
-  EXPECT_EQ(alloc.stats().allocated_current, 0u);
-}
-
-TEST(ReplayEngine, PreemptRecomputeRestartsAtTheCurrentTick) {
-  // Tenant 1 collides with tenant 0 (live on [1,3)), is preempted, redoes its work from the
-  // current tick and succeeds once tenant 0's memory is gone.
-  const Trace a = MakeTrace({{6 * GiB, 1, 3}});
-  const Trace b = MakeTrace({{6 * GiB, 2, 10}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kPreemptRecompute, /*max_retries=*/2);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_EQ(policy.preemptions(), 1u);
-  EXPECT_EQ(policy.rejected_tenants(), 0u);
-  EXPECT_TRUE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).done);
-  EXPECT_EQ(engine.progress(1).restarts, 1);
-  // Restarted at now=2: tenant 1's ops land at 2+2 and 2+10.
-  EXPECT_EQ(r.end_time, 12u);
-}
-
-TEST(ReplayEngine, RetryBudgetExhaustionRejectsTheTenant) {
-  // Tenant 1 can never fit (10 GiB on an 8 GiB device): one preempt-recompute retry, then
-  // rejection; tenant 0 is unaffected.
-  const Trace a = MakeTrace({{2 * GiB, 0, 20}});
-  const Trace b = MakeTrace({{10 * GiB, 1, 10}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kPreemptRecompute, /*max_retries=*/1);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_EQ(r.oom_events, 2u);  // first attempt + one retry
-  EXPECT_EQ(policy.preemptions(), 1u);
-  EXPECT_EQ(policy.rejected_tenants(), 1u);
-  EXPECT_EQ(policy.oom_count(1), 2);
-  EXPECT_TRUE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).aborted);
-  EXPECT_FALSE(engine.progress(1).done);
-}
-
-TEST(ReplayEngine, ParkedTenantRestartsWhenTheLastRunnerIsRejected) {
-  // Tenant 1 parks while tenant 0 runs; tenant 0 then OOMs alone and is rejected. The parked
-  // tenant must not strand — the rejection frees the device, so it restarts and completes.
-  const Trace a = MakeTrace({{4 * GiB, 1, 6}, {7 * GiB, 5, 10}});  // self-OOMs at t=5
-  const Trace b = MakeTrace({{6 * GiB, 2, 30}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kRequeue, /*max_retries=*/1);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_EQ(policy.requeues(), 1u);          // tenant 1 parked at t=2
-  EXPECT_EQ(policy.rejected_tenants(), 1u);  // tenant 0 rejected at t=5, nothing else running
-  EXPECT_TRUE(engine.progress(0).aborted);
-  EXPECT_FALSE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).done);  // restarted over the freed space
-  EXPECT_EQ(engine.progress(1).restarts, 1);
-  EXPECT_EQ(alloc.stats().allocated_current, 0u);
-}
-
-TEST(ReplayEngine, TimelineObserverDropsUnwoundBytes) {
-  // Unwinds free live blocks without AfterFree callbacks; the timeline must subtract them via
-  // OnSourceAborted or the curve stays inflated forever after an abort.
-  class AbortTenantTimeline : public TimelineObserver {
-   public:
-    using TimelineObserver::TimelineObserver;
-    OomAction OnOom(ReplayEngine&, const ReplayOpView&) override {
-      return OomAction::kAbortTenant;
-    }
-  };
-  const Trace a = MakeTrace({{4 * GiB, 1, 10}});
-  const Trace b = MakeTrace({{2 * GiB, 2, 8}, {6 * GiB, 3, 8}});  // OOMs at t=3 with 2 GiB live
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  AbortTenantTimeline timeline(/*sample_every=*/1);
-  ReplayEngine engine(&timeline);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_TRUE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).aborted);
-  ASSERT_FALSE(timeline.samples().empty());
-  // Tenant 0's free at t=10 is the last event: the curve must return to exactly zero, which
-  // only happens if tenant 1's unwound 2 GiB were dropped when it aborted.
-  EXPECT_EQ(timeline.samples().back().live_bytes, 0u);
-  uint64_t peak = 0;
-  for (const TimelineObserver::Sample& s : timeline.samples()) {
-    peak = std::max(peak, s.live_bytes);
-  }
-  EXPECT_EQ(peak, 6 * GiB);  // 4 GiB (tenant 0) + 2 GiB (tenant 1) before the abort
-}
-
-TEST(ReplayEngine, TenantGangUnwindsTogetherOnOneSourceOom) {
-  // Two sources form one tenant gang (pipeline ranks). When the second OOMs, the first — which
-  // has live memory and no failure of its own — unwinds too.
-  const Trace rank0 = MakeTrace({{3 * GiB, 1, 20}});
-  const Trace rank1 = MakeTrace({{3 * GiB, 1, 20}, {3 * GiB, 2, 20}, {3 * GiB, 3, 20}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kRequeue, /*max_retries=*/1);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.tenant = 7;
-  src.trace = &rank0;
-  engine.AddSource(src);
-  src.trace = &rank1;
-  engine.AddSource(src);
-  ASSERT_EQ(engine.tenant_sources(7).size(), 2u);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_TRUE(engine.progress(0).aborted);
-  EXPECT_TRUE(engine.progress(1).aborted);
-  EXPECT_EQ(engine.progress(0).live_bytes, 0u);
-  EXPECT_EQ(engine.progress(1).live_bytes, 0u);
-  EXPECT_EQ(alloc.stats().allocated_current, 0u);  // every rank's blocks were freed
-  EXPECT_EQ(policy.rejected_tenants(), 1u);        // gang alone on the device: no requeue
-}
-
 TEST(ReplayEngine, ExternallySteppedReplayMatchesRun) {
   const Trace trace = MakeTrace({{1 * MiB, 0, 4}, {2 * MiB, 1, 3}, {3 * MiB, 2, 6}});
   SimDevice dev(1 * GiB);
@@ -425,7 +194,7 @@ TEST(ReplayEngine, ExternallySteppedReplayMatchesRun) {
 
   // Drive the engine one op at a time, checking the announced next-op clock.
   uint64_t steps = 0;
-  while (engine.HasPending()) {
+  while (engine.NextOpTime() != ReplayEngine::kNoPendingOp) {
     const uint64_t next = engine.NextOpTime();
     ASSERT_NE(next, ReplayEngine::kNoPendingOp);
     ASSERT_TRUE(engine.Step());
@@ -437,28 +206,6 @@ TEST(ReplayEngine, ExternallySteppedReplayMatchesRun) {
   EXPECT_TRUE(engine.progress(0).done);
   // Run() on a drained engine just finalizes the result.
   EXPECT_EQ(engine.Run().ops_replayed, 6u);
-}
-
-TEST(ReplayEngine, TimelineObserverSamplesTheLiveBytesCurve) {
-  const Trace trace =
-      MakeTrace({{4 * MiB, 0, 3}, {2 * MiB, 1, 5}, {1 * MiB, 2, 4}});  // peak 7 MiB at t=2
-  SimDevice dev(1 * GiB);
-  NativeAllocator alloc(&dev);
-  TimelineObserver timeline(/*sample_every=*/1);
-  ReplayEngine engine(&timeline);
-  ReplaySource src;
-  src.trace = &trace;
-  src.alloc = &alloc;
-  engine.AddSource(src);
-  ASSERT_FALSE(engine.Run().oom);
-
-  ASSERT_EQ(timeline.samples().size(), 6u);
-  uint64_t peak = 0;
-  for (const TimelineObserver::Sample& s : timeline.samples()) {
-    peak = std::max(peak, s.live_bytes);
-  }
-  EXPECT_EQ(peak, 7 * MiB);
-  EXPECT_EQ(timeline.samples().back().live_bytes, 0u);
 }
 
 // The legacy ReplayTrace wrapper and a hand-driven single-source engine must agree op for op —
@@ -493,15 +240,54 @@ TEST(ReplayEngine, ReplayTraceWrapperMatchesDirectEngineUse) {
 
 // --- the sharded-fleet primitives: park-on-OOM, bounded stepping, precomputable end times ---
 
+// Parks every failing source, leaving the unwind decision to the test (the sharded fleet's
+// boundary coordinator in production).
+class ParkOnOom : public ReplayObserver {
+ public:
+  OomAction OnOom(ReplayEngine&, const ReplayOpView&) override {
+    ++ooms;
+    return OomAction::kParkSource;
+  }
+  int ooms = 0;
+};
+
+TEST(ReplayEngine, TenantGangUnwindsTogetherOnOneSourceOom) {
+  // Two sources form one tenant gang (pipeline ranks). When the second OOMs and parks, the
+  // coordinator's AbortTenant unwinds the first too — it has live memory and no failure of its
+  // own.
+  const Trace rank0 = MakeTrace({{3 * GiB, 1, 20}});
+  const Trace rank1 = MakeTrace({{3 * GiB, 1, 20}, {3 * GiB, 2, 20}, {3 * GiB, 3, 20}});
+  SimDevice dev(8 * GiB);
+  NativeAllocator alloc(&dev);
+  ParkOnOom park;
+  ReplayEngine engine(&park);
+  ReplaySource src;
+  src.alloc = &alloc;
+  src.tenant = 7;
+  src.trace = &rank0;
+  engine.AddSource(src);
+  src.trace = &rank1;
+  engine.AddSource(src);
+  ASSERT_EQ(engine.tenant_sources(7).size(), 2u);
+
+  engine.StepUntil(3);  // rank 1's malloc at t=2 would reach 9 GiB: it parks
+  EXPECT_TRUE(engine.result().oom);
+  EXPECT_EQ(park.ooms, 1);
+  EXPECT_TRUE(engine.progress(0).active);
+  EXPECT_TRUE(engine.progress(1).parked);
+  EXPECT_EQ(alloc.stats().allocated_current, 6 * GiB);
+
+  engine.AbortTenant(7);
+  EXPECT_TRUE(engine.progress(0).aborted);
+  EXPECT_TRUE(engine.progress(1).aborted);
+  EXPECT_EQ(engine.progress(0).live_bytes, 0u);
+  EXPECT_EQ(engine.progress(1).live_bytes, 0u);
+  EXPECT_EQ(alloc.stats().allocated_current, 0u);  // every rank's blocks were freed
+  EXPECT_EQ(engine.active_sources(), 0u);
+  EXPECT_EQ(engine.NextOpTime(), ReplayEngine::kNoPendingOp);
+}
+
 TEST(ReplayEngine, ParkSourceHoldsLiveBlocksUntilAbortTenant) {
-  class ParkOnOom : public ReplayObserver {
-   public:
-    OomAction OnOom(ReplayEngine&, const ReplayOpView&) override {
-      ++ooms;
-      return OomAction::kParkSource;
-    }
-    int ooms = 0;
-  };
   // Source 0 fills the device and then OOMs on a second huge block; source 1 keeps running.
   const Trace big = MakeTrace({{700 * MiB, 0, 20}, {700 * MiB, 5, 20}});
   const Trace small = MakeTrace({{1 * MiB, 0, 2}, {1 * MiB, 4, 8}});
@@ -532,7 +318,7 @@ TEST(ReplayEngine, ParkSourceHoldsLiveBlocksUntilAbortTenant) {
   EXPECT_EQ(engine.active_sources(), 1u);
   // The parked source contributes no pending op; the engine would drain source 1 and stop.
   engine.StepUntil(ReplayEngine::kNoPendingOp);
-  EXPECT_FALSE(engine.HasPending());
+  EXPECT_EQ(engine.NextOpTime(), ReplayEngine::kNoPendingOp);
   EXPECT_EQ(alloc.stats().allocated_current, 700 * MiB);  // still held across the window
 
   // The deferred unwind: AbortTenant frees the parked source's live blocks.
@@ -545,12 +331,6 @@ TEST(ReplayEngine, ParkSourceHoldsLiveBlocksUntilAbortTenant) {
 }
 
 TEST(ReplayEngine, RunCleanupUnwindsForgottenParkedSources) {
-  class ParkOnOom : public ReplayObserver {
-   public:
-    OomAction OnOom(ReplayEngine&, const ReplayOpView&) override {
-      return OomAction::kParkSource;
-    }
-  };
   const Trace big = MakeTrace({{700 * MiB, 0, 20}, {700 * MiB, 5, 20}});
   SimDevice dev(1 * GiB);
   NativeAllocator alloc(&dev);
@@ -586,7 +366,7 @@ TEST(ReplayEngine, StepUntilHonorsTheExclusiveHorizon) {
   EXPECT_EQ(recorder.seen.back().time, 7u);
 
   engine.StepUntil(ReplayEngine::kNoPendingOp);  // drains the rest
-  EXPECT_FALSE(engine.HasPending());
+  EXPECT_EQ(engine.NextOpTime(), ReplayEngine::kNoPendingOp);
   EXPECT_TRUE(engine.progress(0).done);
   EXPECT_EQ(alloc.stats().allocated_current, 0u);
 }
@@ -604,14 +384,13 @@ TEST(ReplayEngine, SourceEndTimePredictsTheFinalOpTick) {
   ReplaySource three = one;
   three.start = 0;
   three.iterations = 3;
-  three.period = 50;
   engine.AddSource(three);
 
   // Single iteration: start + last op offset. Three iterations: start of the last iteration
   // plus the same offset.
   EXPECT_EQ(engine.SourceEndTime(0), 100u + trace.end_time());
-  EXPECT_EQ(engine.SourceEndTime(1), 2u * 50u + trace.end_time());
-  EXPECT_EQ(engine.MinActiveEndTime(), engine.SourceEndTime(0));
+  EXPECT_EQ(engine.SourceEndTime(1), 2u * trace.end_time() + trace.end_time());
+  EXPECT_EQ(engine.MinActiveEndTime(), engine.SourceEndTime(1));  // 27 < 109
 
   // The prediction is exact: the engine's last replayed op lands on max SourceEndTime.
   const uint64_t predicted_last =
@@ -624,12 +403,6 @@ TEST(ReplayEngine, SourceEndTimePredictsTheFinalOpTick) {
   EXPECT_EQ(recorder.seen.back().time, predicted_last);
   // Nothing active once drained.
   EXPECT_EQ(replay.MinActiveEndTime(), ReplayEngine::kNoPendingOp);
-}
-
-TEST(ReplayEngine, OomPolicyNamesAreStable) {
-  EXPECT_STREQ(OomPolicyName(OomPolicy::kAbort), "abort");
-  EXPECT_STREQ(OomPolicyName(OomPolicy::kRequeue), "requeue");
-  EXPECT_STREQ(OomPolicyName(OomPolicy::kPreemptRecompute), "preempt-recompute");
 }
 
 }  // namespace

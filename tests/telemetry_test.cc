@@ -438,10 +438,7 @@ TEST_F(TelemetryTest, LatencyHistogramsFillWithoutAHook) {
       ASSERT_TRUE(alloc->Free(addr));
     }
 
-    // The per-allocator stats latency accumulators armed without a hook...
-    EXPECT_GT(alloc->stats().malloc_latency_us, 0.0);
-    EXPECT_GT(alloc->stats().free_latency_us, 0.0);
-    // ...and the registry saw exactly the same ops, once each: a nested pool adds nothing.
+    // The registry saw every op exactly once: a nested pool adds nothing.
     auto& registry = MetricsRegistry::Global();
     EXPECT_EQ(registry.GetHistogram("alloc.malloc_latency_us")->count(), kOps + 1);
     EXPECT_EQ(registry.GetHistogram("alloc.free_latency_us")->count(), kOps + 1);
@@ -466,14 +463,15 @@ TEST_F(TelemetryTest, LatencyHistogramsFillWithoutAHook) {
 
 #endif  // STALLOC_TELEMETRY
 
-// With telemetry off and no hook, the hot path must stay untimed and unrecorded.
+// With telemetry off, the hot path must stay untimed and unrecorded.
 TEST_F(TelemetryTest, DisabledTelemetryLeavesAllocatorHotPathUntimed) {
   SimDevice device(64 * MiB);
   std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create("torch-caching", &device);
   ASSERT_NE(alloc, nullptr);
   const uint64_t addr = alloc->Malloc(4096).value();
   ASSERT_TRUE(alloc->Free(addr));
-  EXPECT_EQ(alloc->stats().malloc_latency_us, 0.0);
+  EXPECT_EQ(MetricsRegistry::Global().GetHistogram("alloc.malloc_latency_us")->count(), 0u);
+  EXPECT_EQ(MetricsRegistry::Global().GetHistogram("alloc.free_latency_us")->count(), 0u);
   EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.mallocs")->value(), 0u);
   EXPECT_EQ(FlightRecorder::Global().pending(), 0u);
 }

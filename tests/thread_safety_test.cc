@@ -1,10 +1,10 @@
 // Thread-safety coverage for the sharded fleet's concurrency model. The invariant is
-// shard-confinement, not locking: each worker thread owns its shard's devices, allocators and
-// stats hooks outright between scheduler boundaries, so AllocatorBase's unguarded counters and
-// AllocatorStatsHook callbacks are safe exactly because no two threads ever touch the same
-// allocator. These tests drive that model hard — per-shard replay over a WorkerPool, full
-// RunCluster calls racing each other — and are the payload of the STALLOC_SANITIZE=thread CI
-// job: any cross-thread leak in the shard partitioning shows up as a TSan report here.
+// shard-confinement, not locking: each worker thread owns its shard's devices and allocators
+// outright between scheduler boundaries, so AllocatorBase's unguarded ledger and counters are
+// safe exactly because no two threads ever touch the same allocator. These tests drive that
+// model hard — per-shard replay over a WorkerPool, full RunCluster calls racing each other —
+// and are the payload of the STALLOC_SANITIZE=thread CI job: any cross-thread leak in the
+// shard partitioning shows up as a TSan report here.
 
 #include <atomic>
 #include <cstdint>
@@ -38,43 +38,24 @@ Trace MakeChurnTrace(int blocks, uint64_t size) {
   return trace;
 }
 
-// Counts hook callbacks and cross-checks them against AllocatorStats afterwards.
-class CountingHook final : public AllocatorStatsHook {
- public:
-  void OnMalloc(uint64_t size, double, const AllocatorSnapshot&) override {
-    ++mallocs;
-    malloc_bytes += size;
-  }
-  void OnFree(uint64_t size, double, const AllocatorSnapshot&) override {
-    ++frees;
-    free_bytes += size;
-  }
-  void OnOom(uint64_t, const AllocatorSnapshot&) override { ++ooms; }
-
-  uint64_t mallocs = 0, frees = 0, ooms = 0;
-  uint64_t malloc_bytes = 0, free_bytes = 0;
-};
-
 // One shard's worth of state, owned by whichever pool thread picks it up.
 struct ShardFixture {
   explicit ShardFixture(uint64_t capacity) : device(capacity), alloc(&device) {}
   SimDevice device;
   CachingAllocator alloc;
-  CountingHook hook;
   Trace trace;
   ReplayEngineResult result;
 };
 
-// The production access pattern: N shards replayed concurrently over a WorkerPool, each with a
-// stats hook installed. Everything is shard-local; stats and hook counters must come out exact.
-TEST(ThreadSafety, StatsAndHooksUnderConcurrentPerShardReplay) {
+// The sharded fleet's access pattern: N shards replayed concurrently over a WorkerPool, each
+// shard's allocator touched by one thread only. Every per-shard stat must come out exact.
+TEST(ThreadSafety, StatsUnderConcurrentPerShardReplay) {
   constexpr int kShards = 8;
   constexpr int kBlocks = 400;
   std::vector<std::unique_ptr<ShardFixture>> shards;
   for (int s = 0; s < kShards; ++s) {
     shards.push_back(std::make_unique<ShardFixture>(1 * GiB));
     shards.back()->trace = MakeChurnTrace(kBlocks, (1 + s) * MiB);
-    shards.back()->alloc.SetStatsHook(&shards.back()->hook);
   }
 
   WorkerPool pool(4);
@@ -95,24 +76,25 @@ TEST(ThreadSafety, StatsAndHooksUnderConcurrentPerShardReplay) {
     EXPECT_EQ(stats.num_mallocs, static_cast<uint64_t>(kBlocks)) << s;
     EXPECT_EQ(stats.num_frees, static_cast<uint64_t>(kBlocks)) << s;
     EXPECT_EQ(stats.allocated_current, 0u) << s;
-    // The hook saw exactly what the stats counted — same thread, same shard, no races.
-    EXPECT_EQ(shard.hook.mallocs, stats.num_mallocs) << s;
-    EXPECT_EQ(shard.hook.frees, stats.num_frees) << s;
-    EXPECT_EQ(shard.hook.malloc_bytes, stats.bytes_allocated_total) << s;
-    EXPECT_EQ(shard.hook.free_bytes, stats.bytes_freed_total) << s;
-    EXPECT_GT(stats.malloc_latency_us, 0.0) << s;  // latency armed while the hook is installed
+    // Bytes moved are exactly this shard's trace: no other thread's ops leaked in.
+    uint64_t trace_bytes = 0;
+    for (const MemoryEvent& e : shard.trace.events()) {
+      trace_bytes += e.size;
+    }
+    EXPECT_EQ(stats.bytes_allocated_total, trace_bytes) << s;
+    EXPECT_EQ(stats.bytes_freed_total, trace_bytes) << s;
+    EXPECT_EQ(stats.num_oom, 0u) << s;
   }
 }
 
-// OOM callbacks stay shard-confined too: every shard's allocator is driven into failure
-// concurrently and each hook must count only its own shard's failed mallocs.
-TEST(ThreadSafety, OomCallbacksStayShardConfined) {
+// OOM accounting stays shard-confined too: every shard's allocator is driven into failure
+// concurrently and each must count only its own shard's ops and failed mallocs.
+TEST(ThreadSafety, OomAccountingStaysShardConfined) {
   constexpr int kShards = 6;
   std::vector<std::unique_ptr<ShardFixture>> shards;
   for (int s = 0; s < kShards; ++s) {
     shards.push_back(std::make_unique<ShardFixture>(8 * MiB));  // far too small for the trace
     shards.back()->trace = MakeChurnTrace(64, 1 * MiB);
-    shards.back()->alloc.SetStatsHook(&shards.back()->hook);
   }
   WorkerPool pool(3);
   pool.ParallelFor(shards.size(), [&](size_t s) {
@@ -125,9 +107,17 @@ TEST(ThreadSafety, OomCallbacksStayShardConfined) {
     shard.result = engine.Run();
   });
   for (int s = 0; s < kShards; ++s) {
-    EXPECT_TRUE(shards[s]->result.oom) << s;
-    EXPECT_EQ(shards[s]->hook.ooms, shards[s]->alloc.stats().num_oom) << s;
-    EXPECT_GT(shards[s]->hook.ooms, 0u) << s;
+    const ShardFixture& shard = *shards[s];
+    const AllocatorStats& stats = shard.alloc.stats();
+    EXPECT_TRUE(shard.result.oom) << s;
+    // The engine aborts on the first failure and unwinds: the allocator saw exactly the
+    // engine's attempts and frees plus one unwind free per block still live.
+    EXPECT_EQ(stats.num_oom, shard.result.oom_events) << s;
+    EXPECT_GT(stats.num_oom, 0u) << s;
+    EXPECT_EQ(stats.num_mallocs, shard.result.num_mallocs) << s;
+    EXPECT_EQ(stats.num_frees, stats.num_mallocs - stats.num_oom) << s;
+    EXPECT_EQ(stats.bytes_freed_total, stats.bytes_allocated_total) << s;
+    EXPECT_EQ(stats.allocated_current, 0u) << s;
   }
 }
 

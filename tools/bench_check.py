@@ -6,8 +6,8 @@ baseline (e.g. BENCH_cluster.json). Two classes of keys:
 
   * volatile keys — wall-clock and derived throughput numbers (wall_seconds, ops_per_sec,
     speedup, best_wall_seconds, *_latency_us, *_ms — including the per-phase timing keys
-    profile_ms/plan_ms/replay_ms/report_ms/total_ms that RunRecord "phases" blocks and
-    bench_replay_hot results carry). These legitimately wobble run to run, so
+    profile_ms/plan_ms/replay_ms/report_ms/total_ms that RunRecord "phases" blocks
+    carry). These legitimately wobble run to run, so
     they are compared by relative threshold (default 20%), and only in the slow direction:
     a fresh run that is FASTER than the baseline never fails. Time-like keys whose baseline is
     below --min-seconds (default 0.5) are skipped entirely — sub-second cells are dominated by
