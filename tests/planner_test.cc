@@ -1,13 +1,16 @@
 #include "src/core/planner.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
 
+#include "src/trace/synthetic.h"
 #include "src/trace/trace_stats.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
@@ -152,6 +155,95 @@ TEST(PlanValidator, DetectsPoolOverflow) {
   std::string error;
   EXPECT_FALSE(plan.Check(&error));
   EXPECT_NE(error.find("beyond pool"), std::string::npos);
+}
+
+// Golden plan digests: FNV-1a over every decision's (event id, addr, padded size), the pool size,
+// the lower bound, every DRS region (ls, le, lo, hi) and the expected_le table. A change to the
+// planner that moves any byte of the plan or the reusable space moves the digest.
+class PlanDigest {
+ public:
+  explicit PlanDigest(const SynthesisResult& r) {
+    for (const auto& d : r.plan.decisions) {
+      Mix(d.event.id);
+      Mix(d.addr);
+      Mix(d.padded_size);
+    }
+    Mix(r.plan.pool_size);
+    Mix(r.plan.lower_bound);
+    for (const auto& [key, set] : r.dyn_space.regions) {
+      for (const auto& iv : set.ToVector()) {
+        Mix(key.first);
+        Mix(key.second);
+        Mix(iv.lo);
+        Mix(iv.hi);
+      }
+    }
+    for (const auto& [ls, les] : r.dyn_space.expected_le) {
+      Mix(ls);
+      Mix(les.size());
+      for (LayerId le : les) {
+        Mix(le);
+      }
+    }
+  }
+
+  std::string Hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 1099511628211ull;
+    }
+  }
+
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+// bench_table2_plan_time's Llama2-7B and Qwen1.5-MoE configurations.
+Trace Table2Trace(const ModelConfig& model, ParallelConfig parallel, uint64_t mb, bool recompute) {
+  TrainConfig config;
+  config.parallel = parallel;
+  config.num_microbatches = 8;
+  config.micro_batch_size = mb;
+  config.opt.zero = ZeroStage::kStage1;
+  if (recompute) {
+    config.opt.recompute = RecomputeMode::kFull;
+  }
+  return WorkloadBuilder(model, config).Build(1);
+}
+
+struct GoldenCase {
+  const char* name;
+  Trace trace;
+  const char* digest;
+  bool greedy;  // used_greedy_refinement
+};
+
+std::vector<GoldenCase> GoldenCases() {
+  std::vector<GoldenCase> cases;
+  cases.push_back({"synthetic-train-50k-s3",
+                   BuildSyntheticTrace({SyntheticMix::kTraining, 50000, 3}),
+                   "a9fbc34765874f3a", false});
+  cases.push_back({"Llama2-7B-R", Table2Trace(Llama2_7B(), {2, 2, 2, 1, 1}, 4, true),
+                   "0f78b0dc44b7606b", true});
+  cases.push_back({"Qwen1.5-MoE-N", Table2Trace(Qwen15_MoE_A27B(), {1, 2, 4, 4, 1}, 8, false),
+                   "3e39b860d1ac88d1", true});
+  cases.push_back({"Qwen1.5-MoE-R", Table2Trace(Qwen15_MoE_A27B(), {1, 2, 4, 4, 1}, 8, true),
+                   "15c06c1dd2f1598b", false});
+  return cases;
+}
+
+TEST(Planner, GoldenPlanDigests) {
+  for (const auto& c : GoldenCases()) {
+    const SynthesisResult r = SynthesizePlan(c.trace);
+    EXPECT_EQ(PlanDigest(r).Hex(), c.digest) << c.name;
+    EXPECT_EQ(r.stats.used_greedy_refinement, c.greedy) << c.name;
+  }
 }
 
 // The central correctness property: for every model x optimization-tag combination, the
