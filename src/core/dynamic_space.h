@@ -34,7 +34,9 @@ struct DynamicReusableSpace {
 };
 
 // Computes the reusable space for every HomoLayer group in `trace` against `plan`.
-// Complexity: O(N log N) sort + per-group scan of time-overlapping decisions (§7.1).
+// Complexity: one time-ordered sweep. Sorting the N decisions and G group windows costs
+// O(N log N + G log G); each window then costs O(k log k) for its k occupying decisions
+// (those live at its start plus those allocated inside it).
 DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& plan);
 
 }  // namespace stalloc

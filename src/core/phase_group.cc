@@ -261,24 +261,34 @@ std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_e
   }
 
   // Sequential forward fusion: plans sorted by start time; for each plan, repeatedly try to fuse
-  // a later plan whose start phase equals this plan's end phase. Chains (F,F)+(F,B)+(B,B) are
-  // captured because an accepted fusion extends pe and the scan repeats. The TMP criterion
-  // (Fig. 7) decides accept/reject.
+  // a plan whose start phase equals this plan's end phase, candidates in ascending index. Chains
+  // (F,F)+(F,B)+(B,B) are captured because an accepted fusion extends pe and the scan repeats.
+  // The TMP criterion (Fig. 7) decides accept/reject. `by_start` indexes the live plans by start
+  // phase, each bucket in ascending index, so a scan visits only the candidates.
   std::sort(plans.begin(), plans.end(),
             [](const LocalPlan& x, const LocalPlan& y) { return x.ts < y.ts; });
+  std::map<PhaseId, std::vector<size_t>> by_start;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    by_start[plans[i].ps].push_back(i);
+  }
+  auto unindex = [&](PhaseId ps, size_t idx) {
+    std::vector<size_t>& bucket = by_start[ps];
+    bucket.erase(std::lower_bound(bucket.begin(), bucket.end(), idx));
+  };
   std::vector<bool> dead(plans.size(), false);
   for (size_t i = 0; i < plans.size(); ++i) {
     if (dead[i]) {
       continue;
     }
     bool fused_any = true;
-    while (fused_any) {
+    while (fused_any && plans[i].pe != kInvalidPhase) {
       fused_any = false;
-      for (size_t j = 0; j < plans.size(); ++j) {
-        if (j == i || dead[j]) {
-          continue;
-        }
-        if (plans[i].pe != plans[j].ps || plans[i].pe == kInvalidPhase) {
+      auto bucket = by_start.find(plans[i].pe);
+      if (bucket == by_start.end()) {
+        break;
+      }
+      for (const size_t j : bucket->second) {
+        if (j == i) {
           continue;
         }
         LocalPlan fused = FusePlans(plans[i], plans[j]);
@@ -286,6 +296,12 @@ std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_e
         const double wa_den = plans[i].TmpDenominator() + plans[j].TmpDenominator();
         const double weighted_avg = wa_den <= 0 ? 1.0 : wa_num / wa_den;
         if (fused.Tmp() > weighted_avg) {
+          unindex(plans[j].ps, j);  // invalidates `bucket`; the scan restarts below
+          if (fused.ps != plans[i].ps) {
+            unindex(plans[i].ps, i);
+            std::vector<size_t>& moved = by_start[fused.ps];
+            moved.insert(std::lower_bound(moved.begin(), moved.end(), i), i);
+          }
           plans[i] = std::move(fused);
           dead[j] = true;
           fused_any = true;

@@ -1,6 +1,9 @@
 #include "src/core/phase_group.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -173,6 +176,138 @@ TEST(BuildPhaseGroups, FusionRejectsWhenWasteful) {
   };
   auto plans = BuildPhaseGroups(events, /*enable_fusion=*/true);
   EXPECT_EQ(plans.size(), 2u);
+}
+
+// Reference for BuildPhaseGroups' indexed fusion: an O(P^2) loop that restarts a scan over every
+// plan after each accepted fusion. Counts accepted fusions and the fusions that
+// moved the survivor's start phase (the fused-in plan started earlier).
+struct FusionCounts {
+  int fusions = 0;
+  int ps_moves = 0;
+};
+
+std::vector<LocalPlan> ReferencePhaseGroups(const std::vector<MemoryEvent>& events,
+                                            FusionCounts* counts) {
+  std::map<std::pair<PhaseId, PhaseId>, std::vector<MemoryEvent>> groups;
+  for (const auto& e : events) {
+    groups[{e.ps, e.pe}].push_back(e);
+  }
+  std::vector<LocalPlan> plans;
+  for (auto& [key, group] : groups) {
+    plans.push_back(PackGroup(std::move(group), key.first, key.second));
+  }
+  std::sort(plans.begin(), plans.end(),
+            [](const LocalPlan& x, const LocalPlan& y) { return x.ts < y.ts; });
+  std::vector<bool> dead(plans.size(), false);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    if (dead[i]) {
+      continue;
+    }
+    bool fused_any = true;
+    while (fused_any) {
+      fused_any = false;
+      for (size_t j = 0; j < plans.size(); ++j) {
+        if (j == i || dead[j]) {
+          continue;
+        }
+        if (plans[i].pe != plans[j].ps || plans[i].pe == kInvalidPhase) {
+          continue;
+        }
+        LocalPlan fused = FusePlans(plans[i], plans[j]);
+        const double wa_num = plans[i].TmpNumerator() + plans[j].TmpNumerator();
+        const double wa_den = plans[i].TmpDenominator() + plans[j].TmpDenominator();
+        const double weighted_avg = wa_den <= 0 ? 1.0 : wa_num / wa_den;
+        if (fused.Tmp() > weighted_avg) {
+          ++counts->fusions;
+          counts->ps_moves += fused.ps != plans[i].ps;
+          plans[i] = std::move(fused);
+          dead[j] = true;
+          fused_any = true;
+          break;
+        }
+      }
+    }
+  }
+  std::vector<LocalPlan> out;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    if (!dead[i]) {
+      out.push_back(std::move(plans[i]));
+    }
+  }
+  return out;
+}
+
+void ExpectSamePlans(const std::vector<LocalPlan>& got, const std::vector<LocalPlan>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t p = 0; p < got.size(); ++p) {
+    const LocalPlan& g = got[p];
+    const LocalPlan& w = want[p];
+    EXPECT_EQ(g.footprint, w.footprint) << "plan " << p;
+    EXPECT_EQ(g.ts, w.ts) << "plan " << p;
+    EXPECT_EQ(g.te, w.te) << "plan " << p;
+    EXPECT_EQ(g.ps, w.ps) << "plan " << p;
+    EXPECT_EQ(g.pe, w.pe) << "plan " << p;
+    ASSERT_EQ(g.items.size(), w.items.size()) << "plan " << p;
+    for (size_t k = 0; k < g.items.size(); ++k) {
+      const PlanDecision& a = g.items[k];
+      const PlanDecision& b = w.items[k];
+      EXPECT_EQ(a.addr, b.addr) << "plan " << p << " item " << k;
+      EXPECT_EQ(a.padded_size, b.padded_size) << "plan " << p << " item " << k;
+      EXPECT_EQ(a.event.id, b.event.id) << "plan " << p << " item " << k;
+      EXPECT_EQ(a.event.size, b.event.size) << "plan " << p << " item " << k;
+      EXPECT_EQ(a.event.ts, b.event.ts) << "plan " << p << " item " << k;
+      EXPECT_EQ(a.event.te, b.event.te) << "plan " << p << " item " << k;
+      EXPECT_EQ(a.event.ps, b.event.ps) << "plan " << p << " item " << k;
+      EXPECT_EQ(a.event.pe, b.event.pe) << "plan " << p << " item " << k;
+    }
+  }
+}
+
+// Mixed-phase events whose phases do not follow time order, so a plan starting at another
+// plan's end phase may start earlier in time and pull the fused start phase back.
+std::vector<MemoryEvent> MixedPhaseEvents(uint64_t seed) {
+  Rng rng(seed);
+  const PhaseId phases = static_cast<PhaseId>(4 + rng.NextBelow(5));
+  std::vector<MemoryEvent> events;
+  const int n = 40 + static_cast<int>(rng.NextBelow(80));
+  for (int i = 0; i < n; ++i) {
+    const PhaseId ps = static_cast<PhaseId>(rng.NextBelow(static_cast<uint64_t>(phases)));
+    const PhaseId pe = std::min<PhaseId>(phases - 1, ps + static_cast<PhaseId>(rng.NextBelow(3)));
+    const LogicalTime ts = rng.NextBelow(120);
+    events.push_back(Ev(static_cast<uint64_t>(i), 512 * (1 + rng.NextBelow(6)), ts,
+                        ts + 1 + rng.NextBelow(rng.NextBelow(2) == 0 ? 4 : 60), ps, pe));
+  }
+  return events;
+}
+
+TEST(BuildPhaseGroups, IndexedFusionMatchesFullRescan) {
+  FusionCounts counts;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const std::vector<MemoryEvent> events = MixedPhaseEvents(seed);
+    ExpectSamePlans(BuildPhaseGroups(events), ReferencePhaseGroups(events, &counts));
+  }
+  EXPECT_GT(counts.fusions, 0) << "the inputs must exercise accepted fusions";
+  EXPECT_GT(counts.ps_moves, 0) << "the inputs must exercise a start phase moving earlier";
+}
+
+TEST(BuildPhaseGroups, ChainFusesEarlierStartingGroup) {
+  // B = (0,1) has a bubble at [4096, 8192) during [10, 20). A = (1,1) starts one tick before B,
+  // so it sorts first, and its transients fill that bubble: B absorbs A and takes A's start
+  // phase 1, moving buckets. C = (3,1), later still, has a bubble that fits all of A+B; it finds
+  // A+B only under its new start phase, and the chain takes phase 1 again.
+  std::vector<MemoryEvent> events;
+  events.push_back(Ev(0, 4096, 10, 40, 0, 1));
+  events.push_back(Ev(1, 4096, 20, 40, 0, 1));
+  for (uint64_t t = 9; t < 20; ++t) {
+    events.push_back(Ev(2 + t, 4096, t, t + 1, 1, 1));
+  }
+  events.push_back(Ev(30, 8192, 12, 60, 3, 1));
+  events.push_back(Ev(31, 8192, 45, 60, 3, 1));
+  FusionCounts counts;
+  const std::vector<LocalPlan> want = ReferencePhaseGroups(events, &counts);
+  EXPECT_EQ(counts.fusions, 2);
+  EXPECT_EQ(counts.ps_moves, 2);
+  ExpectSamePlans(BuildPhaseGroups(events), want);
 }
 
 // Property: packing any random event set never produces conflicting placements.

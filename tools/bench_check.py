@@ -9,7 +9,9 @@ baseline (e.g. BENCH_cluster.json). Two classes of keys:
     profile_ms/plan_ms/replay_ms/report_ms/total_ms that RunRecord "phases" blocks
     carry). These legitimately wobble run to run, so
     they are compared by relative threshold (default 20%), and only in the slow direction:
-    a fresh run that is FASTER than the baseline never fails. Time-like keys whose baseline is
+    a fresh run that is FASTER than the baseline never fails. The slowdown is fresh/base - 1
+    for a time and base/fresh - 1 for a throughput, so --threshold 1.0 means "2x slower" for
+    both. Time-like keys whose baseline is
     below --min-seconds (default 0.5) are skipped entirely — sub-second cells are dominated by
     scheduling noise, and the multi-second scale-sweep rows are the real trajectory.
   * everything else — behavioral output (digests, counts, efficiencies, integrals). The
@@ -104,7 +106,12 @@ def compare_volatile(key, base, fresh, threshold, min_seconds, path, errors, del
         has_timer = any(is_time_like(k) for k in siblings)
         if has_timer and not windows:
             return
-    delta = (fresh - base) / base if is_time_like(key) else (base - fresh) / base
+    # Both directions as a slowdown factor minus one, so a threshold of 1.0 means "2x slower"
+    # for a time and a throughput alike. A throughput that drops to zero or below is a failure.
+    if is_time_like(key):
+        delta = (fresh - base) / base
+    else:
+        delta = base / fresh - 1 if fresh > 0 else float("inf")
     if delta > threshold:
         errors.append(
             f"{path}: {base:g} -> {fresh:g} ({delta:+.0%} worse, threshold {threshold:.0%})"
