@@ -46,22 +46,17 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
     }
     return std::nullopt;
   }
-  // Memory-stomping detector: the returned block may not overlap any live block.
-  auto next = live_.lower_bound(*addr);
-  if (next != live_.end()) {
-    STALLOC_CHECK(*addr + size <= next->first,
+  // Memory-stomping detector: the returned block may not overlap any live block. The ledger
+  // refuses an overlapping insert and names the block it ran into: one at or above the new
+  // address is its successor, one below it its predecessor.
+  if (const LiveLedger::Entry* clash = live_.Insert(*addr, size); clash != nullptr) {
+    STALLOC_CHECK(clash->addr < *addr,
                   << name() << ": block [" << *addr << ", " << *addr + size
-                  << ") stomps on live block at " << next->first);
+                  << ") stomps on live block at " << clash->addr);
+    STALLOC_CHECK(clash->addr + clash->size <= *addr,
+                  << name() << ": block at " << *addr << " stomped by live block ["
+                  << clash->addr << ", " << clash->addr + clash->size << ")");
   }
-  if (next != live_.begin()) {
-    auto prev = std::prev(next);
-    STALLOC_CHECK(prev->first + prev->second <= *addr,
-                  << name() << ": block at " << *addr << " stomped by live block [" << prev->first
-                  << ", " << prev->first + prev->second << ")");
-  }
-  // `next` is exactly the successor of the new address: reuse it as the insertion hint so the
-  // ledger insert costs O(1) instead of a second tree walk.
-  live_.emplace_hint(next, *addr, size);
   stats_.allocated_current += size;
   stats_.allocated_peak = std::max(stats_.allocated_peak, stats_.allocated_current);
   stats_.bytes_allocated_total += size;
@@ -86,12 +81,12 @@ bool AllocatorBase::Free(uint64_t addr) {
   if (telemetry_on) {
     timer.Reset();
   }
-  auto it = live_.find(addr);
-  if (it == live_.end()) {
+  const std::optional<LiveLedger::Pos> pos = live_.Find(addr);
+  if (!pos.has_value()) {
     return false;
   }
   ++stats_.num_frees;
-  const uint64_t size = it->second;
+  const uint64_t size = live_.at(*pos).size;
   // Exact high-water-mark capture: leaving a new global allocated peak for the first time,
   // snapshot before the ledger shrinks so the frame holds the full peak-resident set. One
   // relaxed armed() load when no heap map was requested; folded away when telemetry is off.
@@ -100,7 +95,7 @@ bool AllocatorBase::Free(uint64_t addr) {
       stats_.allocated_current == stats_.allocated_peak) {
     MaybeHeapMapPeak();
   }
-  live_.erase(it);
+  live_.Erase(*pos);  // the snapshot only reads the ledger, so `pos` still holds
   stats_.allocated_current -= size;
   stats_.bytes_freed_total += size;
   stats_.live_blocks = live_.size();
@@ -236,13 +231,13 @@ void AllocatorBase::EmptyCache() {
 }
 
 void AllocatorBase::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
-  for (const auto& [addr, size] : live_) {
+  live_.ForEach([out](const LiveLedger::Entry& e) {
     telemetry::HeapSegment seg;
-    seg.base = addr;
-    seg.size = size;
+    seg.base = e.addr;
+    seg.size = e.size;
     seg.pool = "direct";
     out->push_back(std::move(seg));
-  }
+  });
 }
 
 AllocatorBase::HeapMapState* AllocatorBase::EnsureHeapMapState() {
@@ -355,19 +350,19 @@ void AllocatorBase::CaptureHeapSnapshotImpl(telemetry::HeapTrigger trigger,
 
   snap.blocks.reserve(live_.size());
   static const HeapMapState::Tag kUntagged;  // blocks allocated before the recorder was armed
-  for (const auto& [addr, size] : live_) {  // live_ iterates address-sorted
-    auto tag_it = hs->tags.find(addr);
+  live_.ForEach([&](const LiveLedger::Entry& e) {  // the ledger iterates address-sorted
+    auto tag_it = hs->tags.find(e.addr);
     const HeapMapState::Tag& tag = tag_it == hs->tags.end() ? kUntagged : tag_it->second;
     telemetry::HeapBlock block;
-    block.addr = addr;
-    block.size = size;
+    block.addr = e.addr;
+    block.size = e.size;
     block.phase = tag.phase;
     block.layer = tag.layer;
     block.stream = tag.stream;
     block.dyn = tag.dyn;
     block.tenant = tag.tenant;
     snap.blocks.push_back(std::move(block));
-  }
+  });
 
   telemetry::FinalizeHeapSnapshot(&snap);
   recorder.Record(std::move(snap));

@@ -9,21 +9,23 @@
 // has one sink: while telemetry is enabled, Malloc/Free feed the alloc.* latency histograms and
 // the OOM flight ring (src/telemetry/); with telemetry off they read no clock.
 //
-// One ledger per allocator: AllocatorBase's live map is the only record of live blocks, updated
-// once per Malloc/Free. Embedded pools (CachingPool in STAlloc, GMLake, expandable segments and
-// VMM) are policies, not allocators: they place and release blocks but record nothing.
+// One ledger per allocator: AllocatorBase's LiveLedger (src/allocators/live_ledger.h, flat
+// address-ordered chunks) is the only record of live blocks, updated once per Malloc/Free.
+// Embedded pools (CachingPool in STAlloc, GMLake, expandable segments and VMM) are policies,
+// not allocators: they place and release blocks but record nothing.
 
 #ifndef SRC_ALLOCATORS_ALLOCATOR_H_
 #define SRC_ALLOCATORS_ALLOCATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "src/allocators/live_ledger.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/heap_map.h"
 #include "src/trace/event.h"
@@ -146,9 +148,11 @@ class AllocatorBase : public Allocator {
   void RecordTelemetryOom(uint64_t size);
 
   // Heap-map capture state: trigger bookkeeping plus the request-context tag for each live
-  // block (live_ itself stays a bare addr->size map — the hot path without heap mapping must
-  // not grow). Created lazily on the first op while the HeapMapRecorder is armed; the config
-  // is cached at creation, so arm the recorder before the run, not during it.
+  // block (live_'s entries stay a bare 16-byte {addr, size} — the hot path without heap mapping
+  // must not grow). Snapshots iterate the ledger in address order and look tags up by address,
+  // so the tag map needs no order of its own. Created lazily on the first op while the
+  // HeapMapRecorder is armed; the config is cached at creation, so arm the recorder before the
+  // run, not during it.
   struct HeapMapState {
     struct Tag {
       PhaseId phase = kInvalidPhase;
@@ -158,7 +162,7 @@ class AllocatorBase : public Allocator {
       uint64_t tenant = 0;
     };
     telemetry::HeapMapConfig config;
-    std::map<uint64_t, Tag> tags;  // addr -> context at malloc time
+    std::unordered_map<uint64_t, Tag> tags;  // addr -> context at malloc time
     uint64_t next_seq = 0;
     uint64_t taken = 0;            // snapshots captured (per-allocator cap, deterministic)
     PhaseId last_phase = kInvalidPhase;
@@ -179,8 +183,9 @@ class AllocatorBase : public Allocator {
   AllocatorStats stats_;
   std::unique_ptr<telemetry::FlightRing> flight_;
   std::unique_ptr<HeapMapState> heap_;
-  // addr -> requested size of live blocks, used for accounting and overlap detection.
-  std::map<uint64_t, uint64_t> live_;
+  // Live blocks (addr, requested size) in address order: accounting, overlap detection and
+  // heap-map iteration.
+  LiveLedger live_;
 };
 
 }  // namespace stalloc

@@ -14,27 +14,34 @@ VaSpace::VaSpace(SimDevice* device, uint64_t size, uint64_t granularity)
 }
 
 VaSpace::~VaSpace() {
-  for (const auto& [page, handle] : pages_) {
-    STALLOC_CHECK(device_->MemUnmap(va_, page * granularity_, granularity_) == DeviceStatus::kOk);
-    STALLOC_CHECK(device_->MemRelease(handle) == DeviceStatus::kOk);
+  for (uint64_t page = 0; page < pages_.size(); ++page) {
+    if (pages_[page] != kUnmapped) {
+      STALLOC_CHECK(device_->MemUnmap(va_, page * granularity_, granularity_) ==
+                    DeviceStatus::kOk);
+      STALLOC_CHECK(device_->MemRelease(pages_[page]) == DeviceStatus::kOk);
+    }
   }
-  pages_.clear();
   STALLOC_CHECK(device_->FreeVa(va_) == DeviceStatus::kOk);
 }
 
 void VaSpace::MapPage(uint64_t page, MemHandle handle) {
   STALLOC_CHECK_LT(page, num_pages(), << "VMM map outside the reservation");
   STALLOC_CHECK(!IsMapped(page), << "VMM double map of page " << page);
+  STALLOC_CHECK_NE(handle, kUnmapped, << "VMM map of the null handle");
   STALLOC_CHECK(device_->MemMap(va_, page * granularity_, handle) == DeviceStatus::kOk);
-  pages_.emplace(page, handle);
+  if (page >= pages_.size()) {
+    pages_.resize(page + 1, kUnmapped);
+  }
+  pages_[page] = handle;
+  ++mapped_pages_;
 }
 
 MemHandle VaSpace::UnmapPage(uint64_t page) {
-  auto it = pages_.find(page);
-  STALLOC_CHECK(it != pages_.end(), << "VMM unmap of unmapped page " << page);
-  const MemHandle handle = it->second;
+  STALLOC_CHECK(IsMapped(page), << "VMM unmap of unmapped page " << page);
+  const MemHandle handle = pages_[page];
   STALLOC_CHECK(device_->MemUnmap(va_, page * granularity_, granularity_) == DeviceStatus::kOk);
-  pages_.erase(it);
+  pages_[page] = kUnmapped;
+  --mapped_pages_;
   return handle;
 }
 

@@ -120,10 +120,10 @@ std::optional<MemHandle> VmmAllocator::AcquireUnderPressure(bool* remapped) {
 }
 
 std::optional<uint64_t> VmmAllocator::FindIdlePage() const {
-  const auto& table = va_->page_table();
-  for (auto it = table.rbegin(); it != table.rend(); ++it) {
-    if (page_refs_[it->first] == 0) {
-      return it->first;
+  const std::vector<MemHandle>& table = va_->page_table();
+  for (uint64_t page = table.size(); page > 0; --page) {
+    if (table[page - 1] != VaSpace::kUnmapped && page_refs_[page - 1] == 0) {
+      return page - 1;
     }
   }
   return std::nullopt;
@@ -143,15 +143,11 @@ void VmmAllocator::AddRefs(uint64_t off, uint64_t size, int delta) {
 }
 
 void VmmAllocator::ReleaseIdlePages() {
-  std::vector<uint64_t> idle;
-  for (const auto& [page, handle] : va_->page_table()) {
-    if (page_refs_[page] == 0) {
-      idle.push_back(page);
+  for (uint64_t page = 0; page < va_->page_table().size(); ++page) {
+    if (va_->IsMapped(page) && page_refs_[page] == 0) {
+      pool_->Release(va_->UnmapPage(page));
+      ++vmm_stats_.unmap_calls;
     }
-  }
-  for (const uint64_t page : idle) {
-    pool_->Release(va_->UnmapPage(page));
-    ++vmm_stats_.unmap_calls;
   }
 }
 
@@ -164,15 +160,14 @@ void VmmAllocator::DoEmptyCache() {
 void VmmAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
   // Contiguous mapped-page runs are the reserved memory; unmapped holes in the reservation cost
   // nothing physical and do not appear.
-  const auto& table = va_->page_table();
-  auto it = table.begin();
-  while (it != table.end()) {
-    const uint64_t start = it->first;
+  const std::vector<MemHandle>& table = va_->page_table();
+  for (uint64_t start = 0; start < table.size(); ++start) {
+    if (table[start] == VaSpace::kUnmapped) {
+      continue;
+    }
     uint64_t end = start + 1;
-    ++it;
-    while (it != table.end() && it->first == end) {
+    while (end < table.size() && table[end] != VaSpace::kUnmapped) {
       ++end;
-      ++it;
     }
     telemetry::HeapSegment s;
     s.base = va_->base() + start * config_.granularity;
@@ -180,6 +175,7 @@ void VmmAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) 
     s.stream = kComputeStream;
     s.pool = "vmm";
     out->push_back(std::move(s));
+    start = end;  // page `end` is unmapped or past the table
   }
   small_pool_.AppendHeapSegments(out);
 }

@@ -16,6 +16,7 @@
 
 #include "src/allocators/allocator.h"
 #include "src/allocators/caching_allocator.h"
+#include "src/allocators/live_ledger.h"
 #include "src/allocators/native_allocator.h"
 #include "src/allocators/registry.h"
 #include "src/common/units.h"
@@ -134,6 +135,48 @@ TEST(AllocatorStompingDeathTest, BlockOverlappingItsPredecessorAborts) {
         alloc.Malloc(0x100);   // starts inside it
       },
       "scripted: block at 10240 stomped by live block \\[8192, 12288\\)");
+}
+
+// The ledger keeps live blocks in flat chunks of LiveLedger::kChunkEntries; kChunkEntries + 1
+// ascending blocks split the first chunk in half, so blocks [0, kChunkEntries / 2) end chunk 0
+// and block kChunkEntries / 2 starts chunk 1. Blocks are 0x1000 wide and 0x2000 apart.
+std::deque<uint64_t> TwoChunksThen(uint64_t stray) {
+  std::deque<uint64_t> addresses;
+  for (size_t k = 0; k <= LiveLedger::kChunkEntries; ++k) {
+    addresses.push_back(0x100000 + k * 0x2000);
+  }
+  addresses.push_back(stray);
+  return addresses;
+}
+
+TEST(AllocatorStompingDeathTest, BlockOverlappingLastEntryOfPreviousChunkAborts) {
+  // Chunk 0's last block is [0x13e000, 0x13f000); the stray starts inside it.
+  constexpr uint64_t kLast = 0x100000 + (LiveLedger::kChunkEntries / 2 - 1) * 0x2000;
+  static_assert(kLast == 0x13e000, "message below assumes 64-entry chunks");
+  EXPECT_DEATH(
+      {
+        ScriptedAllocator alloc(TwoChunksThen(kLast + 0x800));
+        for (size_t k = 0; k <= LiveLedger::kChunkEntries; ++k) {
+          alloc.Malloc(0x1000);
+        }
+        alloc.Malloc(0x100);
+      },
+      "scripted: block at 1304576 stomped by live block \\[1302528, 1306624\\)");
+}
+
+TEST(AllocatorStompingDeathTest, BlockOverlappingFirstEntryOfNextChunkAborts) {
+  // Chunk 1's first block starts at 0x140000; the stray starts in the gap before it.
+  constexpr uint64_t kFirst = 0x100000 + (LiveLedger::kChunkEntries / 2) * 0x2000;
+  static_assert(kFirst == 0x140000, "message below assumes 64-entry chunks");
+  EXPECT_DEATH(
+      {
+        ScriptedAllocator alloc(TwoChunksThen(kFirst - 0x800));
+        for (size_t k = 0; k <= LiveLedger::kChunkEntries; ++k) {
+          alloc.Malloc(0x1000);
+        }
+        alloc.Malloc(0x1000);
+      },
+      "scripted: block \\[1308672, 1312768\\) stomps on live block at 1310720");
 }
 
 TEST(AllocatorStats, EfficiencyAndFragmentationDeriveFromPeaks) {

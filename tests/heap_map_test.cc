@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,12 +19,14 @@
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/fleet.h"
 #include "src/common/units.h"
+#include "src/driver/replay.h"
 #include "src/gpu/sim_device.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/heap_map.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/tracer.h"
+#include "src/trace/synthetic.h"
 
 namespace stalloc {
 namespace {
@@ -335,6 +338,43 @@ std::string SerializeTimeline(const std::vector<HeapSnapshot>& timeline) {
     out += '\n';
   }
   return out;
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The frames themselves are pinned byte for byte: a storm replay with periodic, peak and phase
+// snapshots through the ledger-backed "direct" segments (native), a caching pool's segments and
+// VMM's mapped-page runs. Changing how the ledger, the tag map or the page table store their
+// entries must not move a byte; the values were recorded before either became a flat array.
+TEST_F(HeapMapTest, StormTimelineBytesArePinned) {
+  const Trace trace = BuildStormTrace(3000, 11);
+  const std::vector<std::pair<std::string, uint64_t>> golden = {
+      {"native", 0x69355a1bea8eaa21ull},
+      {"torch-caching", 0xb9e9c1ec43481ae7ull},
+      {"vmm", 0xfcbadacb753c0d5aull},
+  };
+  for (const auto& [kind, want] : golden) {
+    SCOPED_TRACE(kind);
+    telemetry::SetEnabled(true);
+    HeapMapConfig config;
+    config.every_n_ops = 97;
+    HeapMapRecorder::Global().Arm(config);
+    SimDevice device(64 * GiB);
+    std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create(kind, &device);
+    ASSERT_NE(alloc, nullptr);
+    ReplayTrace(trace, alloc.get());
+    const std::vector<HeapSnapshot> timeline = HeapMapRecorder::Global().Drain();
+    EXPECT_GT(timeline.size(), 20u);
+    EXPECT_EQ(Fnv1a(SerializeTimeline(timeline)), want)
+        << std::hex << "0x" << Fnv1a(SerializeTimeline(timeline));
+    ResetAll();
+  }
 }
 
 TEST_F(HeapMapTest, ClusterTimelineBitIdenticalAcrossWorkerCounts) {

@@ -66,6 +66,59 @@ TEST(VaSpace, DestructorReturnsEverything) {
   EXPECT_EQ(dev.counters().mem_release, dev.counters().mem_create);
 }
 
+// The page table is a flat array grown on demand: mapped_bytes is a running count, and the
+// misuse checks that guard it still abort.
+TEST(VaSpace, MappedBytesFollowMapAndUnmap) {
+  SimDevice dev(1 * GiB);
+  VaSpace va(&dev, 16 * MiB, kPage);
+  EXPECT_TRUE(va.page_table().empty()) << "the table grows with the highest mapped page";
+  std::vector<MemHandle> handles;
+  for (const uint64_t page : {0u, 5u, 7u}) {
+    handles.push_back(*dev.MemCreate(kPage));
+    va.MapPage(page, handles.back());
+  }
+  EXPECT_EQ(va.mapped_pages(), 3u);
+  EXPECT_EQ(va.mapped_bytes(), 3 * kPage);
+  EXPECT_EQ(va.page_table()[5], handles[1]);
+  EXPECT_EQ(va.page_table()[4], VaSpace::kUnmapped);
+  EXPECT_EQ(va.page_table().size(), 8u);
+  EXPECT_FALSE(va.IsMapped(12)) << "pages past the table are unmapped";
+  EXPECT_EQ(va.UnmapPage(5), handles[1]);
+  EXPECT_EQ(va.mapped_bytes(), 2 * kPage);
+  EXPECT_FALSE(va.IsMapped(5));
+  va.MapPage(6, handles[1]);  // a handle moves: unmapped at one page, mapped at another
+  EXPECT_EQ(va.mapped_bytes(), 3 * kPage);
+  EXPECT_EQ(va.UnmapPage(0), handles[0]);
+  EXPECT_EQ(va.UnmapPage(7), handles[2]);
+  EXPECT_EQ(va.UnmapPage(6), handles[1]);
+  EXPECT_EQ(va.mapped_bytes(), 0u);
+  for (const MemHandle h : handles) {
+    dev.MemRelease(h);
+  }
+}
+
+TEST(VaSpaceDeathTest, DoubleMapAborts) {
+  EXPECT_DEATH(
+      {
+        SimDevice dev(1 * GiB);
+        VaSpace va(&dev, 16 * MiB, kPage);
+        va.MapPage(2, *dev.MemCreate(kPage));
+        va.MapPage(2, *dev.MemCreate(kPage));
+      },
+      "VMM double map of page 2");
+}
+
+TEST(VaSpaceDeathTest, UnmapOfUnmappedPageAborts) {
+  EXPECT_DEATH(
+      {
+        SimDevice dev(1 * GiB);
+        VaSpace va(&dev, 16 * MiB, kPage);
+        va.MapPage(2, *dev.MemCreate(kPage));
+        va.UnmapPage(3);
+      },
+      "VMM unmap of unmapped page 3");
+}
+
 // --- VmmAllocator: VA exhaustion is an OOM even with physical memory to spare ---
 
 TEST(VmmAllocator, MapTableExhaustionIsOom) {
@@ -115,6 +168,37 @@ TEST(VmmAllocator, RemapStealsIdlePagesInsteadOfCreating) {
   EXPECT_EQ(alloc.vmm_stats().bytes_remapped, 2 * kPage);
   EXPECT_EQ(alloc.vmm_stats().bytes_copied, 0u);
   ASSERT_TRUE(alloc.Free(*a) && alloc.Free(*c) && alloc.Free(*big));
+}
+
+// Under pressure the remap steals the highest-index idle page first (compacting the working set
+// toward low addresses). Six single-page blocks fill the device; B (page 1), D (page 3) and F
+// (page 5) are freed. A 2-page request fits no interior hole, so it lands at F's page, which is
+// already mapped, and needs one more page: the steal must take page 3, not page 1, and never
+// page 5, which the new block now references.
+TEST(VmmAllocator, RemapStealsTheHighestIdlePage) {
+  SimDevice dev(6 * kPage);
+  VmmConfig config = NoSmallPool();
+  config.va_size = 32 * kPage;
+  VmmAllocator alloc(&dev, config);
+  std::vector<uint64_t> blocks;
+  for (int i = 0; i < 6; ++i) {
+    const std::optional<uint64_t> addr = alloc.Malloc(kPage);
+    ASSERT_TRUE(addr.has_value());
+    blocks.push_back(*addr);
+  }
+  const uint64_t base = alloc.va_space().base();
+  ASSERT_EQ(blocks[5], base + 5 * kPage);
+  ASSERT_TRUE(alloc.Free(blocks[1]) && alloc.Free(blocks[3]) && alloc.Free(blocks[5]));
+
+  const std::optional<uint64_t> big = alloc.Malloc(2 * kPage);
+  ASSERT_TRUE(big.has_value());
+  EXPECT_EQ(*big, base + 5 * kPage);
+  EXPECT_EQ(alloc.vmm_stats().pages_remapped, 1u);
+  const VaSpace& va = alloc.va_space();
+  EXPECT_TRUE(va.IsMapped(1)) << "the lower idle page must be left for later";
+  EXPECT_FALSE(va.IsMapped(3)) << "the highest idle page is stolen first";
+  EXPECT_TRUE(va.IsMapped(5) && va.IsMapped(6));
+  EXPECT_EQ(va.mapped_bytes(), 6 * kPage);
 }
 
 // The same squeeze with remapping disabled is a hard OOM: the config knob isolates exactly what
